@@ -10,6 +10,7 @@ for the command-line front end.
 from .errors import (
     DegenerateInput,
     DimensionMismatch,
+    InvariantViolation,
     NoConvergence,
     NotCentered,
     NotSymmetric,
@@ -59,6 +60,7 @@ __all__ = [
     "EigenSolution",
     "ExplicitFitResult",
     "GridSearchResult",
+    "InvariantViolation",
     "LineFitResult",
     "NoConvergence",
     "NotCentered",

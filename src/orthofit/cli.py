@@ -8,9 +8,9 @@ Four subcommands:
 * check    run the self-diagnostics (oracles and invariants) on an input
 
 All output is deterministic: the same invocation on the same input produces
-byte-identical bytes. Exit codes: 0 success, 1 a check reported FAIL,
-2 degenerate input or a rank-deficient explicit fit, 3 unreadable input,
-4 solver non-convergence.
+byte-identical bytes. Exit codes: 0 success, 1 a check reported FAIL or
+an invariant of the fit was violated, 2 degenerate input or a
+rank-deficient explicit fit, 3 unreadable input, 4 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     DegenerateInput,
+    InvariantViolation,
     NoConvergence,
     OrthofitError,
     ParseError,
@@ -283,9 +284,11 @@ def cmd_compare(args) -> int:
         # The orthogonal fit minimizes exactly this quantity, so any other
         # line scoring better means the fitter is broken, not the data.
         cloud_scale = float(np.sum(tls.eigen.spectrum))
-        assert (
-            lse_orth - tls.total_sq_distance >= -1e-9 * cloud_scale
-        ), "explicit-fit line scored below the orthogonal minimum"
+        if lse_orth - tls.total_sq_distance < -1e-9 * cloud_scale:
+            raise InvariantViolation(
+                f"explicit-fit line scored {lse_orth!r}, below the orthogonal "
+                f"minimum {tls.total_sq_distance!r}"
+            )
 
     ratio = None
     if lse_orth is not None and tls.total_sq_distance > 0.0:
@@ -593,6 +596,9 @@ def main(argv=None) -> int:
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except InvariantViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except OrthofitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -48,3 +48,7 @@ class UnsupportedDimension(OrthofitError):
 
 class ParseError(OrthofitError):
     """Input text could not be parsed into points."""
+
+
+class InvariantViolation(OrthofitError):
+    """A result broke a guaranteed property of the fit: a defect, not bad data."""

@@ -35,8 +35,8 @@ class LineFitResult:
 
     Attributes:
         line: fitted line; anchor is the cloud centroid.
-        total_sq_distance: sum of squared orthogonal distances, accumulated
-            from the per-point values in input order.
+        total_sq_distance: sum of squared orthogonal distances, numpy's sum
+            of the per-point values (deterministic for a fixed n).
         per_point_sq: squared orthogonal distance of each input point.
         eigen: the eigensolution behind the fit (spectrum, ambiguity flag).
         n_points: number of points fitted.
@@ -102,12 +102,9 @@ def fit_tls_line(points: PointSet, config: SolverConfig | None = None) -> LineFi
     eigen = dominant_eigenpair(summary.scatter, config)
     line = ParametricLine(anchor=centroid_vec, direction=eigen.direction)
     per_point = line_distances_sq(points, line)
-    total = 0.0
-    for value in per_point:
-        total += float(value)
     return LineFitResult(
         line=line,
-        total_sq_distance=total,
+        total_sq_distance=float(np.sum(per_point)),
         per_point_sq=per_point,
         eigen=eigen,
         n_points=len(points),
@@ -120,10 +117,7 @@ def total_orthogonal_distance(points: PointSet, line: ParametricLine) -> float:
     For the fitted line this reproduces LineFitResult.total_sq_distance; for
     any other line it can only be larger (up to rounding).
     """
-    total = 0.0
-    for value in line_distances_sq(points, line):
-        total += float(value)
-    return total
+    return float(np.sum(line_distances_sq(points, line)))
 
 
 def _solve_gaussian(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -199,13 +193,10 @@ def fit_lse_explicit(points: PointSet, dependent_col: int = -1) -> ExplicitFitRe
     w = _solve_gaussian(normal, rhs)
 
     residuals = design @ w - y
-    residual_sq = 0.0
-    for r in residuals:
-        residual_sq += float(r) * float(r)
     return ExplicitFitResult(
         coefficients=w[:-1],
         offset=float(w[-1]),
-        residual_sq=residual_sq,
+        residual_sq=float(np.sum(residuals * residuals)),
         dependent_col=dep,
         dim=d,
     )
@@ -270,7 +261,4 @@ def vertical_residual_sq(
     t = (offsets @ s_ind) / denom
     predicted = line.anchor[dep] + t * line.direction[dep]
     gaps = points.points[:, dep] - predicted
-    total = 0.0
-    for g in gaps:
-        total += float(g) * float(g)
-    return total
+    return float(np.sum(gaps * gaps))

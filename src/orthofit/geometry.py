@@ -123,15 +123,17 @@ class ParametricLine:
 
 
 def centroid(points: PointSet) -> np.ndarray:
-    """Arithmetic mean of the points, accumulated in input order.
+    """Arithmetic mean of the points, in two passes.
 
-    The accumulation order is fixed (a plain left-to-right sum) so the result
-    is reproducible bit for bit across runs for identical input.
+    The first pass takes numpy's column mean; the second adds the mean of
+    the residuals from it, which removes most of the first pass's rounding
+    (a cloud of identical points comes back as exactly that point). Both
+    passes are numpy reductions, which are deterministic for a fixed array
+    shape, so identical input gives a bit-identical result.
     """
-    total = np.zeros(points.dim, dtype=np.float64)
-    for row in points.points:
-        total += row
-    return total / len(points)
+    pts = points.points
+    first = pts.mean(axis=0)
+    return first + (pts - first).mean(axis=0)
 
 
 def center(points: PointSet) -> tuple[PointSet, np.ndarray]:

@@ -24,6 +24,9 @@ from .geometry import PointSet, _readonly, canonical_direction, center
 from .solver import _check_symmetric
 
 _CHUNK = 16384
+# Cap on the elements of one points-by-directions projection block (32 MiB
+# of float64), so the scan's memory stays bounded for large clouds.
+_BLOCK_ELEMS = 2**22
 
 
 @dataclass(frozen=True)
@@ -95,12 +98,15 @@ def grid_search_direction(points: PointSet, resolution_deg: float) -> GridSearch
     total_sq = float(np.einsum("ij,ij->", y, y))
     directions = _grid_directions(points.dim, resolution_deg)
 
+    chunk_size = max(1, min(_CHUNK, _BLOCK_ELEMS // y.shape[0]))
     best_value = math.inf
     best_raw: tuple[float, ...] | None = None
-    for start in range(0, directions.shape[0], _CHUNK):
-        chunk = directions[start : start + _CHUNK]
+    for start in range(0, directions.shape[0], chunk_size):
+        chunk = directions[start : start + chunk_size]
         proj = y @ chunk.T
         values = total_sq - np.einsum("ij,ij->j", proj, proj)
+        # Free this block before the next is built, so only one is alive.
+        del proj
         local_min = float(values.min())
         if local_min > best_value:
             continue

@@ -87,10 +87,10 @@ class ScatterSummary:
 def accumulate_scatter(centered: PointSet) -> ScatterSummary:
     """Accumulate second moments of an already-centered cloud.
 
-    Accumulation runs in input order with plain summation, so the result is
+    The scatter is one matrix product and the total squared norm one numpy
+    sum, both deterministic for a fixed array shape, so the result is
     reproducible for identical input. The scatter matrix is symmetrized
-    after accumulation to remove any rounding drift between the two
-    triangles.
+    afterwards to remove any rounding drift between the two triangles.
 
     Args:
         centered: point set whose centroid is (numerically) zero.
@@ -111,11 +111,8 @@ def accumulate_scatter(centered: PointSet) -> ScatterSummary:
             "call geometry.center first"
         )
 
-    total_sq_norm = 0.0
-    omega = np.zeros((d, d), dtype=np.float64)
-    for row in pts:
-        total_sq_norm += float(row @ row)
-        omega += np.outer(row, row)
+    total_sq_norm = float(np.sum(pts * pts))
+    omega = pts.T @ pts
     omega = 0.5 * (omega + omega.T)
 
     if total_sq_norm <= 0.0:

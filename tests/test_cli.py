@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -7,13 +8,16 @@ import numpy as np
 import pytest
 from conftest import angle_between
 
+from orthofit import cli
 
-def run_cli(*args, stdin_text=None):
+
+def run_cli(*args, stdin_text=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "orthofit", *args],
         capture_output=True,
         text=True,
         input=stdin_text,
+        env=env,
     )
 
 
@@ -347,6 +351,37 @@ class TestCompareCommand:
         a = run_cli("compare", "--input", str(noisy_cloud), "--format", "json").stdout
         b = run_cli("compare", "--input", str(noisy_cloud), "--format", "json").stdout
         assert a == b
+
+    def test_line_below_minimum_is_invariant_violation(
+        self, noisy_cloud, monkeypatch, capsys
+    ):
+        # Run in-process so the check is exercised as the library ships it,
+        # independent of whether the interpreter strips asserts.
+        monkeypatch.setattr(cli, "total_orthogonal_distance", lambda points, line: 0.0)
+        code = cli.main(["compare", "--input", str(noisy_cloud), "--format", "json"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "below the orthogonal minimum" in err
+        assert "Traceback" not in err
+
+
+class TestBlasThreads:
+    def test_output_independent_of_blas_thread_count(self, tmp_path):
+        # The scatter is a BLAS matrix product; its bytes must not depend on
+        # how many threads the BLAS splits it over.
+        cloud = tmp_path / "big.csv"
+        assert cli.main(
+            ["gen", "--output", str(cloud), "--n", "20000", "--dim", "3", "--seed", "5"]
+        ) == 0
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            fit = run_cli("fit", "--input", str(cloud), "--format", "csv", env=env)
+            cmp = run_cli("compare", "--input", str(cloud), "--format", "json", env=env)
+            assert fit.returncode == 0 and cmp.returncode == 0
+            outputs.append((fit.stdout, cmp.stdout))
+        assert outputs[0] == outputs[1]
 
 
 class TestCheckCommand:

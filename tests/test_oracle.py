@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import angle_between, line_cloud
 
+from orthofit import oracle
 from orthofit.errors import DimensionMismatch, NotSymmetric, UnsupportedDimension
 from orthofit.fit import fit_tls_line
 from orthofit.geometry import PointSet
@@ -71,6 +73,47 @@ class TestGridSearch:
         assert np.array_equal(a.best_direction, b.best_direction)
         assert a.best_sq_distance == b.best_sq_distance
         assert a.evaluated == b.evaluated
+
+    def test_block_cap_leaves_small_clouds_bit_identical(self, monkeypatch):
+        # Up to 256 points the cap still allows the full direction chunk.
+        rng = np.random.default_rng(5)
+        ps = PointSet(line_cloud(rng, 256, 3, sigma=0.3)[0])
+        capped = grid_search_direction(ps, 1.0)
+        monkeypatch.setattr(oracle, "_BLOCK_ELEMS", 2**62)
+        uncapped = grid_search_direction(ps, 1.0)
+        assert np.array_equal(capped.best_direction, uncapped.best_direction)
+        assert capped.best_sq_distance == uncapped.best_sq_distance
+        assert capped.evaluated == uncapped.evaluated
+
+    @pytest.mark.parametrize("chunk", [7, 1000])
+    def test_small_chunks_keep_the_result(self, monkeypatch, chunk):
+        rng = np.random.default_rng(6)
+        clouds = [
+            (PointSet(line_cloud(rng, 40, 3, sigma=0.3)[0]), 1.0),
+            # Every direction ties at zero: the tie rule must hold across chunks.
+            (PointSet(np.array([[1.0, 1.0], [1.0, 1.0]])), 1.0),
+        ]
+        for ps, res in clouds:
+            whole = grid_search_direction(ps, res)
+            monkeypatch.setattr(oracle, "_BLOCK_ELEMS", chunk * len(ps))
+            chunked = grid_search_direction(ps, res)
+            monkeypatch.undo()
+            assert np.array_equal(chunked.best_direction, whole.best_direction)
+            assert chunked.evaluated == whole.evaluated
+            # The projection product may take another BLAS path per shape.
+            scale = float(np.sum((ps.points - ps.points.mean(axis=0)) ** 2))
+            assert abs(chunked.best_sq_distance - whole.best_sq_distance) <= 1e-12 * scale
+
+    def test_memory_bounded_for_large_cloud(self):
+        rng = np.random.default_rng(7)
+        ps = PointSet(line_cloud(rng, 50_000, 3, sigma=0.3)[0])
+        tracemalloc.start()
+        try:
+            grid_search_direction(ps, 5.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_result_invariants(self):
         rng = np.random.default_rng(4)
