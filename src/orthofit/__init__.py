@@ -12,7 +12,6 @@ from .errors import (
     DimensionMismatch,
     InvariantViolation,
     NoConvergence,
-    NotCentered,
     NotSymmetric,
     NotUnit,
     OrthofitError,
@@ -35,7 +34,6 @@ from .geometry import (
     PointSet,
     canonical_direction,
     center,
-    centroid,
     line_distances_sq,
     point_line_distance_sq,
 )
@@ -63,7 +61,6 @@ __all__ = [
     "InvariantViolation",
     "LineFitResult",
     "NoConvergence",
-    "NotCentered",
     "NotSymmetric",
     "NotUnit",
     "OrthofitError",
@@ -78,7 +75,6 @@ __all__ = [
     "accumulate_scatter",
     "canonical_direction",
     "center",
-    "centroid",
     "cross_matrix",
     "cubic_eigenvalues",
     "dominant_eigenpair",

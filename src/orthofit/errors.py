@@ -23,7 +23,7 @@ class NotUnit(OrthofitError):
 
 
 class NotCentered(OrthofitError):
-    """A point set that must have zero mean does not."""
+    """Unused: nothing in the package raises it; kept for code that imports it."""
 
 
 class DegenerateInput(OrthofitError):

@@ -122,29 +122,26 @@ class ParametricLine:
         return self.anchor + t * self.direction
 
 
-def centroid(points: PointSet) -> np.ndarray:
-    """Arithmetic mean of the points, in two passes.
+def center(points: PointSet) -> tuple[PointSet, np.ndarray]:
+    """Shift a point set so its mean is at the origin, in two passes.
 
-    The first pass takes numpy's column mean; the second adds the mean of
-    the residuals from it, which removes most of the first pass's rounding
-    (a cloud of identical points comes back as exactly that point). Both
-    passes are numpy reductions, which are deterministic for a fixed array
-    shape, so identical input gives a bit-identical result.
+    The first pass subtracts numpy's column mean; the second subtracts the
+    mean of what is left (the corrected two-pass rule of Chan, Golub and
+    LeVeque, 1983). The residual mean is rounding from the first pass, so
+    removing it leaves the centered cloud's mean at rounding level relative
+    to its own spread, not to its offset. A cloud of identical points comes
+    back as exactly zero. Every step is a numpy reduction or elementwise
+    operation, deterministic for a fixed array shape.
+
+    Returns:
+        (centered, c): the centered point set and the centroid c, the sum of
+        the two pass means. centered + c reproduces the input to rounding.
     """
     pts = points.points
     first = pts.mean(axis=0)
-    return first + (pts - first).mean(axis=0)
-
-
-def center(points: PointSet) -> tuple[PointSet, np.ndarray]:
-    """Shift a point set so its centroid is at the origin.
-
-    Returns:
-        (centered, c): the shifted point set and the centroid that was
-        subtracted, so callers can translate results back.
-    """
-    c = centroid(points)
-    return PointSet(points.points - c), c
+    y = pts - first
+    shift = y.mean(axis=0)
+    return PointSet(y - shift), first + shift
 
 
 def point_line_distance_sq(x, line: ParametricLine) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, UnsupportedDimension
-from .geometry import PointSet, _readonly, canonical_direction, center
+from .geometry import PointSet, _readonly, canonical_direction
 from .solver import _check_symmetric
 
 _CHUNK = 16384
@@ -93,8 +93,10 @@ def grid_search_direction(points: PointSet, resolution_deg: float) -> GridSearch
     if not (0.0 < resolution_deg <= 10.0):
         raise ValueError(f"resolution_deg must be in (0, 10], got {resolution_deg}")
 
-    centered, _ = center(points)
-    y = centered.points
+    # Centered here, not by geometry.center, so the scan shares no code with
+    # the fit it checks: subtract the mean, then the residual's mean.
+    y = points.points - points.points.mean(axis=0)
+    y -= y.mean(axis=0)
     total_sq = float(np.einsum("ij,ij->", y, y))
     directions = _grid_directions(points.dim, resolution_deg)
 

@@ -1,6 +1,7 @@
-"""Second-moment accumulation for centered clouds.
+"""Second-moment accumulation.
 
-For a centered point set the fitting objective for a unit direction s is
+For a point set centered by geometry.center, the fitting objective for a
+unit direction s is
 
     D(s) = sum_p |x_p|^2 - sum_p (x_p . s)^2 = s^T (xi I - Omega) s
 
@@ -15,11 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch, NotCentered
+from .errors import DegenerateInput, DimensionMismatch
 from .geometry import PointSet, _as_vector, _readonly
-
-# |mean| may not exceed this fraction of the coordinate scale.
-CENTERED_RTOL = 1e-6
 
 
 def cross_matrix(a) -> np.ndarray:
@@ -57,71 +55,56 @@ def rejection_matrix(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScatterSummary:
-    """Second moments of a centered cloud.
+    """Second moments of a cloud about the origin.
+
+    These are the central moments when the cloud came from geometry.center.
 
     Attributes:
         total_sq_norm: sum of |x_p|^2 over the cloud (the trace of scatter).
         scatter: sum of outer products x_p x_p^T, symmetric PSD.
-        complement: total_sq_norm * I - scatter; the quadratic form whose
-            value at a unit s is the summed squared orthogonal distance to
-            the line through the origin along s.
         n_points: number of points accumulated.
     """
 
     total_sq_norm: float
     scatter: np.ndarray
-    complement: np.ndarray
     n_points: int
 
     def __post_init__(self):
         object.__setattr__(self, "scatter", _readonly(np.array(self.scatter, dtype=np.float64)))
-        object.__setattr__(
-            self, "complement", _readonly(np.array(self.complement, dtype=np.float64))
-        )
 
     @property
     def dim(self) -> int:
         return self.scatter.shape[0]
 
+    @property
+    def complement(self) -> np.ndarray:
+        """total_sq_norm * I - scatter, derived on each access.
+
+        Its quadratic form at a unit s is the summed squared orthogonal
+        distance to the line through the origin along s.
+        """
+        return _readonly(self.total_sq_norm * np.eye(self.dim) - self.scatter)
+
 
 def accumulate_scatter(centered: PointSet) -> ScatterSummary:
-    """Accumulate second moments of an already-centered cloud.
+    """Second moments of a cloud about the origin.
 
-    The scatter is one matrix product and the total squared norm one numpy
-    sum, both deterministic for a fixed array shape, so the result is
-    reproducible for identical input. The scatter matrix is symmetrized
-    afterwards to remove any rounding drift between the two triangles.
-
-    Args:
-        centered: point set whose centroid is (numerically) zero.
+    Any cloud is accepted. Its moments are the central ones, which the fit
+    needs, when `centered` comes from geometry.center; nothing here
+    re-checks that. The scatter is one matrix product and the total squared
+    norm one numpy sum, both deterministic for a fixed array shape, so the
+    result is reproducible for identical input. The scatter matrix is
+    symmetrized afterwards to remove any rounding drift between the two
+    triangles.
 
     Raises:
-        NotCentered: if any centroid component exceeds CENTERED_RTOL times
-            the largest coordinate magnitude.
         DegenerateInput: if all points sit at the origin, which leaves every
             direction equally good.
     """
     pts = centered.points
-    n, d = pts.shape
-    scale = float(np.max(np.abs(pts)))
-    mean = pts.mean(axis=0)
-    if float(np.max(np.abs(mean))) > CENTERED_RTOL * scale:
-        raise NotCentered(
-            f"cloud mean {mean} is not zero relative to coordinate scale {scale:g}; "
-            "call geometry.center first"
-        )
-
     total_sq_norm = float(np.sum(pts * pts))
-    omega = pts.T @ pts
-    omega = 0.5 * (omega + omega.T)
-
     if total_sq_norm <= 0.0:
         raise DegenerateInput("all points coincide; every direction fits equally well")
-
-    complement = total_sq_norm * np.eye(d) - omega
-    return ScatterSummary(
-        total_sq_norm=total_sq_norm,
-        scatter=omega,
-        complement=complement,
-        n_points=n,
-    )
+    omega = pts.T @ pts
+    omega = 0.5 * (omega + omega.T)
+    return ScatterSummary(total_sq_norm=total_sq_norm, scatter=omega, n_points=pts.shape[0])

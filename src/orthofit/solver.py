@@ -132,11 +132,17 @@ def dominant_eigenpair(matrix, config: SolverConfig | None = None) -> EigenSolut
                 apq = a[p, q]
                 if apq == 0.0:
                     continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau == 0.0:
+                # t = sign(tau) / (|tau| + sqrt(tau^2 + 1)) with
+                # tau = diff / (2 apq), multiplied through by 2 apq so that
+                # neither tau nor tau^2 is formed: both overflow when apq is
+                # tiny against diff.
+                diff = a[q, q] - a[p, p]
+                if diff == 0.0:
                     t = 1.0
                 else:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(tau * tau + 1.0))
+                    two_apq = 2.0 * apq
+                    denom = abs(diff) + math.hypot(diff, two_apq)
+                    t = math.copysign(1.0, diff) * two_apq / denom
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
 

@@ -9,6 +9,8 @@ import pytest
 from conftest import angle_between
 
 from orthofit import cli
+from orthofit.fit import fit_tls_line
+from orthofit.geometry import PointSet
 
 
 def run_cli(*args, stdin_text=None, env=None):
@@ -108,6 +110,24 @@ class TestFitCommand:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert abs(doc["direction"][0] - math.sqrt(0.5)) <= 1e-12
+
+    def test_cloud_at_offset_1e9(self, tmp_path):
+        direction = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
+        rng = np.random.default_rng(9)
+        # A spread of 1e-3 at 1e9 is about 1e4 ulps of the coordinates.
+        near = 1e-3 * np.linspace(-1.0, 1.0, 50)[:, None] * direction
+        near += 1e-6 * rng.standard_normal(near.shape)
+        offset = np.array([1e9, -1e9, 1e9])
+        far = near + offset
+        path = tmp_path / "offset.csv"
+        path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in far))
+        proc = run_cli("fit", "--input", str(path), "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)["direction"]
+        # far - offset is exact, so the near-origin fit sees the same points.
+        expected = fit_tls_line(PointSet(far - offset)).line.direction
+        assert angle_between(got, expected) <= 1e-12
+        assert angle_between(got, direction) <= 1e-2
 
     def test_deterministic_output(self, noisy_cloud):
         results = [

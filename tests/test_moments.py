@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from orthofit.errors import DegenerateInput, NotCentered
+from orthofit.errors import DegenerateInput
 from orthofit.fit import fit_tls_line, total_orthogonal_distance
-from orthofit.geometry import PointSet, center, centroid
+from orthofit.geometry import PointSet, center
 from orthofit.scatter import accumulate_scatter
 
 EPS = float(np.finfo(np.float64).eps)
@@ -64,7 +64,7 @@ clouds = arrays(
 def test_centroid_matches_loop(pts):
     # A mean divides the n-term sum by n, which leaves n * eps * max|x|.
     n = pts.shape[0]
-    got = centroid(PointSet(pts))
+    got = center(PointSet(pts))[1]
     tol = 4.0 * n * EPS * float(np.max(np.abs(pts)))
     assert np.max(np.abs(got - loop_centroid(pts))) <= tol
 
@@ -83,10 +83,6 @@ def test_scatter_and_total_sq_norm_match_loop(pts):
         # The kernel found a zero total; the loop must agree within rounding.
         assert total_sq_norm <= sum_tol(n, row_sq_bound)
         return
-    except NotCentered:
-        # The known offset defect: a spread of a few ulps at a large offset
-        # cannot be centered on the float grid. Nothing to compare.
-        return
     assert abs(summary.total_sq_norm - total_sq_norm) <= sum_tol(n, row_sq_bound)
     entry_bound = float(np.max(np.abs(y))) ** 2
     assert np.max(np.abs(summary.scatter - omega)) <= sum_tol(n, entry_bound)
@@ -98,7 +94,7 @@ def test_total_sq_distance_matches_loop(pts):
     points = PointSet(pts)
     try:
         result = fit_tls_line(points)
-    except (DegenerateInput, NotCentered):
+    except DegenerateInput:
         return
     n = len(points)
     expected = loop_sum(result.per_point_sq)
@@ -109,7 +105,7 @@ def test_total_sq_distance_matches_loop(pts):
 
 def test_coincident_cloud_is_degenerate():
     # A one-pass mean of n copies of a non-dyadic point can miss it by an
-    # ulp, which the centering check used to report as NotCentered.
+    # ulp; the second centering pass removes that, leaving exact zeros.
     for n in range(2, 300):
         with pytest.raises(DegenerateInput):
             fit_tls_line(PointSet(np.tile([0.1, 7.3, -2.9], (n, 1))))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthofit.errors import DegenerateInput, DimensionMismatch, NotCentered
+from orthofit.errors import DegenerateInput, DimensionMismatch
 from orthofit.geometry import ParametricLine, PointSet, point_line_distance_sq
 from orthofit.scatter import (
     ScatterSummary,
@@ -123,11 +123,11 @@ class TestAccumulate:
         assert np.array_equal(summary.scatter, np.diag([2.0, 2.0]))
         assert np.array_equal(summary.complement, np.diag([2.0, 2.0]))
 
-    def test_rejects_uncentered_cloud(self):
-        rng = np.random.default_rng(5)
-        ps = PointSet(rng.uniform(0.0, 1.0, (20, 3)) + 10.0)
-        with pytest.raises(NotCentered):
-            accumulate_scatter(ps)
+    def test_moments_are_about_the_origin(self):
+        # An uncentered cloud is accepted; its moments are taken about 0.
+        summary = accumulate_scatter(PointSet(np.array([[1.0, 0.0], [3.0, 0.0]])))
+        assert summary.total_sq_norm == 10.0
+        assert np.array_equal(summary.scatter, np.diag([10.0, 0.0]))
 
     def test_rejects_all_points_at_origin(self):
         with pytest.raises(DegenerateInput):

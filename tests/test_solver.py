@@ -67,6 +67,15 @@ class TestDominantEigenpair:
             fro = float(np.linalg.norm(a))
             assert np.max(np.abs(sol.spectrum - ref)) <= 1e-10 * max(fro, 1e-300)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tiny", [1e-200, 1e-310])
+    def test_tiny_off_diagonal_rotates_without_overflow(self, tiny):
+        # diff / (2 apq) would overflow here: 1e-310 is subnormal.
+        a = np.array([[1.0, 1.0, tiny], [1.0, 2.0, 0.0], [tiny, 0.0, 3.0]])
+        sol = dominant_eigenpair(a)
+        ref = np.linalg.eigvalsh(a)[::-1]
+        assert np.max(np.abs(sol.spectrum - ref)) <= 1e-14
+
     def test_reconstructs_input(self):
         rng = np.random.default_rng(19)
         for _ in range(50):
