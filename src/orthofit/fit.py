@@ -3,9 +3,10 @@
 fit_tls_line is the main entry point: it fits a line minimizing the summed
 squared orthogonal distances (total least squares). fit_lse_explicit is the
 classical baseline that minimizes vertical residuals of an explicit form
-y = w . x + b; it exists so the two can be compared on the same data, where
-the orthogonal fit is never worse and is often much better once the data is
-steep or rotated.
+y = w . x + b, centered by geometry.center and solved by numpy.linalg.lstsq;
+it exists so the two can be compared on the same data, where the orthogonal
+fit is never worse and is often much better once the data is steep or
+rotated.
 """
 
 from __future__ import annotations
@@ -24,10 +25,6 @@ from .geometry import (
 )
 from .scatter import accumulate_scatter
 from .solver import EigenSolution, SolverConfig, dominant_eigenpair
-
-# A pivot below this fraction of its row's scale counts as zero.
-PIVOT_RTOL = 1e-12
-
 
 @dataclass(frozen=True)
 class LineFitResult:
@@ -120,47 +117,12 @@ def total_orthogonal_distance(points: PointSet, line: ParametricLine) -> float:
     return float(np.sum(line_distances_sq(points, line)))
 
 
-def _solve_gaussian(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a small dense system by Gaussian elimination, partial pivoting.
-
-    Raises:
-        RankDeficient: when the best available pivot falls below PIVOT_RTOL
-            times its row's original scale.
-    """
-    a = np.array(matrix, dtype=np.float64, copy=True)
-    b = np.array(rhs, dtype=np.float64, copy=True)
-    m = a.shape[0]
-    row_scale = np.max(np.abs(a), axis=1)
-
-    for col in range(m):
-        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
-        scale = max(float(row_scale[pivot_row]), np.finfo(np.float64).tiny)
-        if abs(a[pivot_row, col]) <= PIVOT_RTOL * scale:
-            raise RankDeficient(
-                f"pivot {a[pivot_row, col]:g} in column {col} is negligible "
-                f"against row scale {scale:g}"
-            )
-        if pivot_row != col:
-            a[[col, pivot_row]] = a[[pivot_row, col]]
-            b[[col, pivot_row]] = b[[pivot_row, col]]
-            row_scale[[col, pivot_row]] = row_scale[[pivot_row, col]]
-        for row in range(col + 1, m):
-            factor = a[row, col] / a[col, col]
-            if factor != 0.0:
-                a[row, col:] -= factor * a[col, col:]
-                b[row] -= factor * b[col]
-
-    x = np.zeros(m, dtype=np.float64)
-    for row in range(m - 1, -1, -1):
-        x[row] = (b[row] - float(a[row, row + 1 :] @ x[row + 1 :])) / a[row, row]
-    return x
-
-
 def fit_lse_explicit(points: PointSet, dependent_col: int = -1) -> ExplicitFitResult:
     """Classical least squares for the explicit form y = w . x + b.
 
-    Builds the normal equations for the design [independent coords | 1] and
-    solves them by Gaussian elimination with partial pivoting. Minimizes
+    Centers the cloud by geometry.center, the same rule the orthogonal fit
+    uses, and solves for w by numpy.linalg.lstsq on the centered independent
+    coordinates; the offset b then follows from the centroid. Minimizes
     only the vertical residual along the dependent axis, so it is not
     rotation invariant and degrades on steep data; that contrast with
     fit_tls_line is the point of keeping it around.
@@ -171,9 +133,9 @@ def fit_lse_explicit(points: PointSet, dependent_col: int = -1) -> ExplicitFitRe
             indices count from the end; the default is the last column.
 
     Raises:
-        RankDeficient: if n < dim, or the normal matrix is singular (for
-            example when all independent coordinates coincide, i.e. a
-            vertical line).
+        RankDeficient: if the rank of the independent coordinates is below
+            d - 1 (for example when they all coincide, i.e. a vertical
+            line), or n < d.
         DimensionMismatch: if dependent_col is out of range.
     """
     n, d = points.points.shape
@@ -186,16 +148,17 @@ def fit_lse_explicit(points: PointSet, dependent_col: int = -1) -> ExplicitFitRe
         raise RankDeficient(f"need at least {d} points for an explicit fit, got {n}")
 
     keep = [j for j in range(d) if j != dep]
-    design = np.hstack([points.points[:, keep], np.ones((n, 1))])
-    y = points.points[:, dep]
-    normal = design.T @ design
-    rhs = design.T @ y
-    w = _solve_gaussian(normal, rhs)
+    centered, c = center(points)
+    x = centered.points[:, keep]
+    y = centered.points[:, dep]
+    w, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
+    if rank < d - 1:
+        raise RankDeficient(f"independent coordinates have rank {rank}, need {d - 1}")
 
-    residuals = design @ w - y
+    residuals = x @ w - y
     return ExplicitFitResult(
-        coefficients=w[:-1],
-        offset=float(w[-1]),
+        coefficients=w,
+        offset=float(c[dep] - w @ c[keep]),
         residual_sq=float(np.sum(residuals * residuals)),
         dependent_col=dep,
         dim=d,

@@ -32,6 +32,16 @@ def _as_vector(x, name: str = "vector") -> np.ndarray:
     return v
 
 
+def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
+    """Flip each column so its first component above SIGN_EPS is positive.
+
+    A column with no component above SIGN_EPS in magnitude is left as is.
+    """
+    lead = (np.abs(vectors) > SIGN_EPS).argmax(axis=0)
+    first = vectors[lead, np.arange(vectors.shape[1])]
+    return np.where(first < -SIGN_EPS, -vectors, vectors)
+
+
 def canonical_direction(v) -> np.ndarray:
     """Normalize a direction vector and fix its sign.
 
@@ -46,13 +56,7 @@ def canonical_direction(v) -> np.ndarray:
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ZeroVector("direction has zero length")
-    unit = v / norm
-    for component in unit:
-        if abs(component) > SIGN_EPS:
-            if component < 0.0:
-                unit = -unit
-            break
-    return unit
+    return _canonical_signs((v / norm)[:, None])[:, 0]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, NotSymmetric, NotUnit, ZeroVector
-from .geometry import _as_vector, _readonly, canonical_direction
+from .geometry import _as_vector, _canonical_signs, _readonly
 from .scatter import ScatterSummary
 
 SYMMETRY_RTOL = 1e-10
@@ -169,9 +169,7 @@ def dominant_eigenpair(matrix, config: SolverConfig | None = None) -> EigenSolut
     eigenvalues = np.diag(a).copy()
     order = np.argsort(-eigenvalues, kind="stable")
     spectrum = eigenvalues[order]
-    vectors = v[:, order]
-    for j in range(d):
-        vectors[:, j] = canonical_direction(vectors[:, j])
+    vectors = _canonical_signs(v[:, order])
 
     direction = vectors[:, 0].copy()
     rayleigh = float(direction @ (a0 @ direction))

@@ -340,6 +340,34 @@ class TestCompareCommand:
         assert np.array_equal(doc["tls"]["direction"], [0.0, 1.0])
         assert doc["tls"]["total_sq_distance"] == 0.0
 
+    def test_collinear_3d_reports_lse_error(self, tmp_path):
+        cloud = tmp_path / "collinear.csv"
+        cloud.write_text("".join(f"{t},{2 * t},{4 * t}\n" for t in range(-2, 5)))
+        proc = run_cli("compare", "--input", str(cloud), "--format", "json")
+        assert proc.returncode == 2
+        doc = json.loads(proc.stdout)
+        assert "error" in doc["lse"]
+        assert doc["tls"]["total_sq_distance"] <= 1e-24
+
+    def test_cloud_at_offset_1e6(self, tmp_path, capsys):
+        for seed in range(10):
+            lse = []
+            for anchor in ("0,0,0", "1e6,1e6,1e6"):
+                cloud = tmp_path / f"cloud_{seed}_{len(lse)}.csv"
+                assert cli.main([
+                    "gen", "--output", str(cloud), "--n", "300", "--dim", "3",
+                    "--seed", str(seed), "--anchor", anchor,
+                ]) == 0
+                code = cli.main(["compare", "--input", str(cloud), "--format", "json"])
+                assert code == 0
+                lse.append(json.loads(capsys.readouterr().out)["lse"])
+            near, far = lse
+            assert "error" not in far
+            w = np.array(near["coefficients"])
+            # The stored coordinates at 1e6 carry rounding of about 1e-10.
+            gap = np.linalg.norm(np.array(far["coefficients"]) - w)
+            assert gap <= 1e-8 * np.linalg.norm(w)
+
     def test_table_output(self, noisy_cloud):
         proc = run_cli("compare", "--input", str(noisy_cloud))
         assert proc.returncode == 0

@@ -198,6 +198,13 @@ class TestExplicitFit:
         with pytest.raises(RankDeficient):
             fit_lse_explicit(pts)
 
+    def test_collinear_3d_is_rank_deficient(self):
+        # The independent columns t and 2t have rank 1, below d - 1 = 2.
+        t = np.arange(-2.0, 5.0)
+        pts = PointSet(t[:, None] * np.array([1.0, 2.0, 4.0]))
+        with pytest.raises(RankDeficient):
+            fit_lse_explicit(pts)
+
     def test_too_few_points_is_rank_deficient(self):
         pts = PointSet(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
         with pytest.raises(RankDeficient):

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from orthofit.errors import DegenerateInput, DimensionMismatch, ZeroVector
 from orthofit.geometry import (
+    SIGN_EPS,
     ParametricLine,
     PointSet,
+    _canonical_signs,
     canonical_direction,
     center,
     line_distances_sq,
@@ -174,6 +176,26 @@ class TestCanonicalDirection:
     def test_zero_raises(self):
         with pytest.raises(ZeroVector):
             canonical_direction(np.zeros(3))
+
+    def test_array_signs_match_column_loop(self):
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            dim = int(rng.integers(2, 9))
+            q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+            q = q * rng.choice([-1.0, 1.0], dim)
+            # Leading components at or below SIGN_EPS, of either sign, must
+            # not decide the sign; with rows == dim a column has none left.
+            rows = int(rng.integers(0, dim + 1))
+            small = rng.choice([0.0, 1e-13, 0.5 * SIGN_EPS, SIGN_EPS], (rows, dim))
+            q[:rows] = small * rng.choice([-1.0, 1.0], (rows, dim))
+            expected = q.copy()
+            for j in range(dim):
+                for component in q[:, j]:
+                    if abs(component) > SIGN_EPS:
+                        if component < 0.0:
+                            expected[:, j] = -q[:, j]
+                        break
+            assert np.array_equal(_canonical_signs(q), expected)
 
 
 class TestTypes:

@@ -4,14 +4,16 @@ Each cloud Q lies along a line with a spread of about 1, far from the
 origin. Subtracting its offset o gives Q - o exactly (Sterbenz lemma: every
 coordinate is within a factor of two of o's), so fit(Q) and fit(Q - o) see
 the same geometry. Only the centering's rounding may separate them: the
-directions by a few eps, the anchors by rounding at o's magnitude.
+directions by a few eps, the anchors by rounding at o's magnitude. The
+explicit baseline centers by the same rule, so the same holds for it, and
+scaling by a power of two, which is exact, leaves its coefficients alone.
 """
 
 import numpy as np
 import pytest
 from conftest import angle_between, line_cloud
 
-from orthofit.fit import fit_tls_line
+from orthofit.fit import fit_lse_explicit, fit_tls_line
 from orthofit.geometry import PointSet
 
 OFFSETS = (1e3, 1e6, 1e9, 1e12)
@@ -49,3 +51,28 @@ def test_spread_of_one_ulp_at_large_offset():
     pts = PointSet(np.array([[1e6, 1e6], [1e6 + u, 1e6], [1e6 + u, 1e6]]))
     result = fit_tls_line(pts)
     assert np.array_equal(result.line.direction, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("offset", OFFSETS)
+def test_explicit_fit_is_translation_invariant(offset):
+    for seed in range(CLOUDS_PER_OFFSET):
+        q, o = offset_cloud(seed, offset)
+        far = fit_lse_explicit(PointSet(q))
+        near = fit_lse_explicit(PointSet(q - o))
+        w = near.coefficients
+        assert np.linalg.norm(far.coefficients - w) <= 1e-14 * np.linalg.norm(w)
+        # y - o_dep = w . (x - o_keep) + b_near on the far cloud.
+        expected = near.offset + o[-1] - w @ o[:-1]
+        slack = 16.0 * np.spacing(offset) * (1.0 + np.sum(np.abs(w)))
+        assert abs(far.offset - expected) <= slack
+
+
+@pytest.mark.parametrize("k", (-500, -100, 100, 500))
+def test_explicit_fit_is_scale_invariant(k):
+    # Near 2**1000 the squared residuals leave float64; that is not tested here.
+    for seed in range(CLOUDS_PER_OFFSET):
+        q, o = offset_cloud(seed, OFFSETS[0])
+        near = q - o
+        w = fit_lse_explicit(PointSet(near)).coefficients
+        scaled = fit_lse_explicit(PointSet(np.ldexp(near, k))).coefficients
+        assert np.linalg.norm(scaled - w) <= 1e-14 * np.linalg.norm(w)
