@@ -16,9 +16,12 @@ rank-deficient explicit fit, 3 unreadable input, 4 solver non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from itertools import chain, islice
+from typing import NoReturn
 
 import numpy as np
 
@@ -46,6 +49,11 @@ from .solver import (
     quadratic_objective,
     stationarity_forms,
 )
+
+# Lines converted per block by parse_points_text: big enough that numpy's
+# per-call cost vanishes, small enough that only one block's tokens are
+# held as Python strings at a time.
+_PARSE_BLOCK = 8192
 
 
 def _fmt(x: float) -> str:
@@ -84,42 +92,84 @@ def parse_points_text(lines) -> PointSet:
     Blank lines and lines starting with '#' are skipped. The dimension is
     set by the first data row; every later row must match it.
 
+    The lines are read in blocks of _PARSE_BLOCK. Each block's kept lines
+    are split into rows, checked for a common column count, and converted
+    in one pass of Python's float() into a numpy array, so the accepted
+    tokens and their values are exactly those of a per-token float().
+    A block that fails any check is walked again line by line to raise
+    the error, so every message and line number is the same as a
+    line-by-line parser's.
+
     Raises:
-        ParseError: empty input, a bad token, or a column-count mismatch,
-            always with the offending line number.
+        ParseError: empty input, a bad token, a non-finite value, or a
+            column-count mismatch, always with the offending line number.
         DegenerateInput: a single data row.
     """
-    rows: list[list[float]] = []
+    source = iter(lines)
+    blocks: list[np.ndarray] = []
     dim: int | None = None
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+    first_lineno = 1
+    while block := list(islice(source, _PARSE_BLOCK)):
+        stripped = [raw.strip() for raw in block]
+        rows = [
+            s.replace(",", " ").split() for s in stripped if s and not s.startswith("#")
+        ]
+        if rows:
+            width = len(rows[0]) if dim is None else dim
+            values = _convert_block(rows, width)
+            if values is None:
+                _raise_block_error(stripped, first_lineno, dim)
+            dim = width
+            blocks.append(values)
+        first_lineno += len(block)
+    n_rows = sum(len(b) for b in blocks)
+    if n_rows == 0:
+        raise ParseError("no points in input")
+    if n_rows == 1:
+        raise DegenerateInput("a single point does not determine a line")
+    return PointSet(np.concatenate(blocks))
+
+
+def _convert_block(rows: list[list[str]], width: int) -> np.ndarray | None:
+    """The rows as a (len(rows), width) array, or None when a row has
+    another width, width is below 2, or a token is not a finite float."""
+    if width < 2 or any(len(row) != width for row in rows):
+        return None
+    try:
+        values = np.fromiter(
+            map(float, chain.from_iterable(rows)), np.float64, len(rows) * width
+        )
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values.reshape(len(rows), width)
+
+
+def _raise_block_error(stripped, first_lineno: int, dim: int | None) -> NoReturn:
+    """Raise the first error in a block of stripped lines that failed
+    conversion, line by line, naming its line in the whole input."""
+    for lineno, line in enumerate(stripped, start=first_lineno):
+        if not line or line.startswith("#"):
             continue
-        values = []
-        for token in stripped.replace(",", " ").split():
+        count = 0
+        for token in line.replace(",", " ").split():
             try:
                 value = float(token)
             except ValueError:
                 raise ParseError(f"line {lineno}: {token!r} is not a number") from None
             if not math.isfinite(value):
                 raise ParseError(f"line {lineno}: non-finite value {token!r}")
-            values.append(value)
+            count += 1
         if dim is None:
-            if len(values) < 2:
+            if count < 2:
                 raise ParseError(
-                    f"line {lineno}: points need at least 2 coordinates, got {len(values)}"
+                    f"line {lineno}: points need at least 2 coordinates, got {count}"
                 )
-            dim = len(values)
-        elif len(values) != dim:
-            raise ParseError(
-                f"line {lineno}: expected {dim} coordinates, got {len(values)}"
-            )
-        rows.append(values)
-    if not rows:
-        raise ParseError("no points in input")
-    if len(rows) == 1:
-        raise DegenerateInput("a single point does not determine a line")
-    return PointSet(np.array(rows, dtype=np.float64))
+            dim = count
+        elif count != dim:
+            raise ParseError(f"line {lineno}: expected {dim} coordinates, got {count}")
+    raise AssertionError("a block failed conversion but every line parses")
 
 
 def _read_points(path: str) -> PointSet:
@@ -156,7 +206,7 @@ def _fit_document(result, per_point: bool) -> dict:
         "ambiguous": bool(result.eigen.ambiguous),
     }
     if per_point:
-        doc["per_point_sq"] = [float(v) for v in result.per_point_sq]
+        doc["per_point_sq"] = result.per_point_sq.tolist()
     return doc
 
 
@@ -175,8 +225,9 @@ def _fit_table(result, per_point: bool) -> str:
     if per_point:
         lines.append("")
         lines.append("index  sq-distance")
-        for i, value in enumerate(result.per_point_sq):
-            lines.append(f"{i:>5}  {_fmt(value)}")
+        lines.extend(
+            f"{i:>5}  {v:.12g}" for i, v in enumerate(result.per_point_sq.tolist())
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -189,8 +240,7 @@ def _fit_csv(result) -> str:
         f"# ambiguous: {'true' if result.eigen.ambiguous else 'false'}",
         "index,sq_distance",
     ]
-    for i, value in enumerate(result.per_point_sq):
-        lines.append(f"{i},{_repr_num(value)}")
+    lines.extend(f"{i},{v!r}" for i, v in enumerate(result.per_point_sq.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -258,8 +308,7 @@ def cmd_gen(args) -> int:
         f"# anchor: {_repr_vec(anchor)}",
         f"# t-range: {_repr_num(t_lo)},{_repr_num(t_hi)}",
     ]
-    for row in points:
-        lines.append(",".join(_repr_num(c) for c in row))
+    lines.extend(",".join(map(repr, row)) for row in points.tolist())
     _write_output(args.output, "\n".join(lines) + "\n")
     return 0
 
@@ -365,13 +414,14 @@ def _compare_csv(points, tls, lse_line) -> str:
     if lse_line is not None:
         lines.append(f"# lse_direction: {_repr_vec(lse_line.direction)}")
         lines.append("index,tls_sq,lse_sq")
-        lse_per = line_distances_sq(points, lse_line)
-        for i, (a, b) in enumerate(zip(tls.per_point_sq, lse_per)):
-            lines.append(f"{i},{_repr_num(a)},{_repr_num(b)}")
+        lse_per = line_distances_sq(points, lse_line).tolist()
+        lines.extend(
+            f"{i},{a!r},{b!r}"
+            for i, (a, b) in enumerate(zip(tls.per_point_sq.tolist(), lse_per))
+        )
     else:
         lines.append("index,tls_sq")
-        for i, a in enumerate(tls.per_point_sq):
-            lines.append(f"{i},{_repr_num(a)}")
+        lines.extend(f"{i},{a!r}" for i, a in enumerate(tls.per_point_sq.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -509,7 +559,10 @@ def _add_solver_flags(sub) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it
+    unchanged, so every main call can share it."""
     parser = _Parser(
         prog="orthofit",
         description="Fit lines to point clouds by minimizing orthogonal distances.",

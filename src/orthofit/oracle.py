@@ -3,7 +3,8 @@
 Two deliberately different routes to the same answers live here:
 
 * grid_search_direction scans a dense grid of candidate directions and
-  evaluates the objective directly, with no eigensolver involved.
+  scores each from the cloud's own d x d scatter, with no eigensolver
+  involved.
 * cubic_eigenvalues solves the 3x3 characteristic polynomial in closed
   trigonometric form, with no iteration involved.
 
@@ -23,10 +24,8 @@ from .errors import DimensionMismatch, UnsupportedDimension
 from .geometry import PointSet, _readonly, canonical_direction
 from .solver import _check_symmetric
 
+# Directions scored per step of the scan; bounds the per-step arrays.
 _CHUNK = 16384
-# Cap on the elements of one points-by-directions projection block (32 MiB
-# of float64), so the scan's memory stays bounded for large clouds.
-_BLOCK_ELEMS = 2**22
 
 
 @dataclass(frozen=True)
@@ -74,9 +73,12 @@ def grid_search_direction(points: PointSet, resolution_deg: float) -> GridSearch
     Covers a half-circle (2-d) or a hemisphere (3-d); opposite directions
     describe the same line, so scanning half the sphere is enough. The
     objective for each candidate s is sum |y|^2 - sum (y . s)^2 over the
-    centered cloud, evaluated in bulk. The returned value quantizes the true
-    optimum: it can exceed it by roughly (lam1 - lam2) sin^2(delta) for a
-    grid offset delta of at most about resolution_deg / sqrt(2).
+    centered cloud y. It is scored as xi - s^T Omega s from the energy
+    xi = sum |y|^2 and the d x d scatter Omega = sum y y^T, both formed once
+    by einsum, so each direction costs O(d^2), independent of the number of
+    points. The returned value quantizes the true optimum: it can exceed it
+    by roughly (lam1 - lam2) sin^2(delta) for a grid offset delta of at most
+    about resolution_deg / sqrt(2).
 
     Args:
         points: the cloud; centered internally.
@@ -98,17 +100,16 @@ def grid_search_direction(points: PointSet, resolution_deg: float) -> GridSearch
     y = points.points - points.points.mean(axis=0)
     y -= y.mean(axis=0)
     total_sq = float(np.einsum("ij,ij->", y, y))
+    # Formed by einsum, not a matrix product, so the oracle shares no code
+    # with accumulate_scatter.
+    omega = np.einsum("ij,ik->jk", y, y)
     directions = _grid_directions(points.dim, resolution_deg)
 
-    chunk_size = max(1, min(_CHUNK, _BLOCK_ELEMS // y.shape[0]))
     best_value = math.inf
     best_raw: tuple[float, ...] | None = None
-    for start in range(0, directions.shape[0], chunk_size):
-        chunk = directions[start : start + chunk_size]
-        proj = y @ chunk.T
-        values = total_sq - np.einsum("ij,ij->j", proj, proj)
-        # Free this block before the next is built, so only one is alive.
-        del proj
+    for start in range(0, directions.shape[0], _CHUNK):
+        chunk = directions[start : start + _CHUNK]
+        values = total_sq - np.einsum("ij,jk,ik->i", chunk, omega, chunk)
         local_min = float(values.min())
         if local_min > best_value:
             continue

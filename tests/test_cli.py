@@ -9,8 +9,8 @@ import pytest
 from conftest import angle_between
 
 from orthofit import cli
-from orthofit.fit import fit_tls_line
-from orthofit.geometry import PointSet
+from orthofit.fit import fit_lse_explicit, fit_tls_line, line_from_explicit
+from orthofit.geometry import PointSet, line_distances_sq
 
 
 def run_cli(*args, stdin_text=None, env=None):
@@ -414,10 +414,75 @@ class TestCompareCommand:
         assert "Traceback" not in err
 
 
+class TestFormatting:
+    """Per-point output against per-element repr and .12g references."""
+
+    def test_fit_per_point_lines(self, noisy_cloud, capsys):
+        with open(noisy_cloud, encoding="utf-8") as fh:
+            per_point = fit_tls_line(cli.parse_points_text(fh)).per_point_sq
+        assert cli.main(["fit", "--input", str(noisy_cloud), "--format", "csv"]) == 0
+        csv_lines = capsys.readouterr().out.splitlines()
+        start = csv_lines.index("index,sq_distance") + 1
+        assert csv_lines[start:] == [f"{i},{repr(float(v))}" for i, v in enumerate(per_point)]
+        assert cli.main(["fit", "--input", str(noisy_cloud), "--per-point"]) == 0
+        table_lines = capsys.readouterr().out.splitlines()
+        start = table_lines.index("index  sq-distance") + 1
+        assert table_lines[start:] == [
+            f"{i:>5}  {format(float(v), '.12g')}" for i, v in enumerate(per_point)
+        ]
+
+    def test_compare_csv_lines(self, noisy_cloud, capsys):
+        with open(noisy_cloud, encoding="utf-8") as fh:
+            points = cli.parse_points_text(fh)
+        tls = fit_tls_line(points).per_point_sq
+        lse = line_distances_sq(points, line_from_explicit(fit_lse_explicit(points)))
+        assert cli.main(["compare", "--input", str(noisy_cloud), "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("index,tls_sq,lse_sq") + 1
+        assert lines[start:] == [
+            f"{i},{repr(float(a))},{repr(float(b))}" for i, (a, b) in enumerate(zip(tls, lse))
+        ]
+
+    def test_compare_csv_without_explicit_fit(self, tmp_path, capsys):
+        cloud = tmp_path / "vert.csv"
+        cloud.write_text("2,0\n2,1\n2,5\n")
+        assert cli.main(["compare", "--input", str(cloud), "--format", "csv"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == ["index,tls_sq", "0,0.0", "1,0.0", "2,0.0"]
+
+    def test_gen_rows_are_shortest_round_trip(self, capsys):
+        args = ["gen", "--n", "500", "--dim", "4", "--seed", "3", "--anchor=-0.0,0,1e6,1e-300"]
+        assert cli.main(args) == 0
+        rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        assert len(rows) == 500
+        for row in rows:
+            assert row == ",".join(repr(float(tok)) for tok in row.split(","))
+
+
+class TestParserReuse:
+    """The argument parser is built once per process; runs must not leak."""
+
+    def test_sequential_runs_match_fresh_processes(self, noisy_cloud, capsys):
+        fit = ["fit", "--input", str(noisy_cloud), "--format", "json"]
+        gen = ["gen", "--n", "20"]
+        for argv in ([*fit, "--per-point"], fit, [*gen, "--seed", "1"], [*gen, "--seed", "2"]):
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == run_cli(*argv).stdout
+
+    def test_help_twice_in_process(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["--help"])
+            assert exc.value.code == 0
+            assert "usage: orthofit" in capsys.readouterr().out
+        assert cli._build_parser() is cli._build_parser()
+
+
 class TestBlasThreads:
     def test_output_independent_of_blas_thread_count(self, tmp_path):
         # The scatter is a BLAS matrix product; its bytes must not depend on
-        # how many threads the BLAS splits it over.
+        # how many threads the BLAS splits it over. check also runs the grid
+        # oracle, which scores from its own einsum scatter.
         cloud = tmp_path / "big.csv"
         assert cli.main(
             ["gen", "--output", str(cloud), "--n", "20000", "--dim", "3", "--seed", "5"]
@@ -427,8 +492,9 @@ class TestBlasThreads:
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
             fit = run_cli("fit", "--input", str(cloud), "--format", "csv", env=env)
             cmp = run_cli("compare", "--input", str(cloud), "--format", "json", env=env)
-            assert fit.returncode == 0 and cmp.returncode == 0
-            outputs.append((fit.stdout, cmp.stdout))
+            chk = run_cli("check", "--input", str(cloud), "--resolution-deg", "1", env=env)
+            assert fit.returncode == 0 and cmp.returncode == 0 and chk.returncode == 0
+            outputs.append((fit.stdout, cmp.stdout, chk.stdout))
         assert outputs[0] == outputs[1]
 
 

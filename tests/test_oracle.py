@@ -8,7 +8,7 @@ from conftest import angle_between, line_cloud
 from orthofit import oracle
 from orthofit.errors import DimensionMismatch, NotSymmetric, UnsupportedDimension
 from orthofit.fit import fit_tls_line
-from orthofit.geometry import PointSet
+from orthofit.geometry import PointSet, canonical_direction
 from orthofit.oracle import cubic_eigenvalues, grid_search_direction
 from orthofit.solver import dominant_eigenpair
 
@@ -75,11 +75,13 @@ class TestGridSearch:
         assert a.evaluated == b.evaluated
 
     def test_block_cap_leaves_small_clouds_bit_identical(self, monkeypatch):
-        # Up to 256 points the cap still allows the full direction chunk.
+        # The 3-d grid at 1 degree has 32760 nodes, more than one chunk;
+        # scanning them in one chunk must give the same bits.
         rng = np.random.default_rng(5)
         ps = PointSet(line_cloud(rng, 256, 3, sigma=0.3)[0])
         capped = grid_search_direction(ps, 1.0)
-        monkeypatch.setattr(oracle, "_BLOCK_ELEMS", 2**62)
+        assert capped.evaluated > oracle._CHUNK
+        monkeypatch.setattr(oracle, "_CHUNK", 2**62)
         uncapped = grid_search_direction(ps, 1.0)
         assert np.array_equal(capped.best_direction, uncapped.best_direction)
         assert capped.best_sq_distance == uncapped.best_sq_distance
@@ -95,14 +97,45 @@ class TestGridSearch:
         ]
         for ps, res in clouds:
             whole = grid_search_direction(ps, res)
-            monkeypatch.setattr(oracle, "_BLOCK_ELEMS", chunk * len(ps))
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
             chunked = grid_search_direction(ps, res)
             monkeypatch.undo()
             assert np.array_equal(chunked.best_direction, whole.best_direction)
             assert chunked.evaluated == whole.evaluated
-            # The projection product may take another BLAS path per shape.
             scale = float(np.sum((ps.points - ps.points.mean(axis=0)) ** 2))
             assert abs(chunked.best_sq_distance - whole.best_sq_distance) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_matches_brute_force_projection_scan(self, dim, offset):
+        # The reference projects every point on every node and picks the
+        # smallest value, ties to the lexicographically smallest node.
+        res = 2.0
+        directions = oracle._grid_directions(dim, res)
+        for seed in range(75):
+            rng = np.random.default_rng([seed, dim])
+            pts = line_cloud(rng, int(rng.integers(3, 120)), dim, sigma=0.3)[0] + offset
+            y = pts - pts.mean(axis=0)
+            xi = float(np.sum(y * y))
+            values = xi - np.sum((y @ directions.T) ** 2, axis=0)
+            best = values.min()
+            node = min(tuple(d) for d in directions[values == best])
+            result = grid_search_direction(PointSet(pts), res)
+            assert np.array_equal(result.best_direction, canonical_direction(np.array(node)))
+            assert abs(result.best_sq_distance - max(best, 0.0)) <= 1e-12 * xi
+
+    def test_memory_small_for_large_cloud(self):
+        # The scan keeps a d x d scatter and one chunk of scores, so its
+        # peak is the centered copy and the grid, not n x directions.
+        rng = np.random.default_rng(8)
+        ps = PointSet(line_cloud(rng, 50_000, 3, sigma=0.3)[0])
+        tracemalloc.start()
+        try:
+            grid_search_direction(ps, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_memory_bounded_for_large_cloud(self):
         rng = np.random.default_rng(7)
