@@ -12,6 +12,7 @@ from .errors import (
     DimensionMismatch,
     InvariantViolation,
     NoConvergence,
+    NonFinite,
     NotSymmetric,
     NotUnit,
     OrthofitError,
@@ -61,6 +62,7 @@ __all__ = [
     "InvariantViolation",
     "LineFitResult",
     "NoConvergence",
+    "NonFinite",
     "NotSymmetric",
     "NotUnit",
     "OrthofitError",

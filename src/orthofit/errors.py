@@ -22,6 +22,14 @@ class NotUnit(OrthofitError):
     """A vector that must be unit length is not."""
 
 
+class NonFinite(OrthofitError, ValueError):
+    """An input or an intermediate result holds an infinity or a NaN.
+
+    Also a ValueError, so code that catches ValueError for bad values keeps
+    working.
+    """
+
+
 class NotCentered(OrthofitError):
     """Unused: nothing in the package raises it; kept for code that imports it."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch, ZeroVector
+from .errors import DegenerateInput, DimensionMismatch, NonFinite, ZeroVector
 
 # A component must exceed this magnitude to anchor the canonical sign choice.
 SIGN_EPS = 1e-12
@@ -28,8 +28,18 @@ def _as_vector(x, name: str = "vector") -> np.ndarray:
     if v.ndim != 1:
         raise DimensionMismatch(f"{name} must be one-dimensional, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite values")
+        raise NonFinite(f"{name} contains non-finite values")
     return v
+
+
+def _as_rows(x, name: str = "vectors") -> np.ndarray:
+    """One vector (d,) or a stack (k, d) as a (k, d) float64 copy."""
+    v = np.array(x, dtype=np.float64, copy=True)
+    if v.ndim not in (1, 2):
+        raise DimensionMismatch(f"{name} must be one- or two-dimensional, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise NonFinite(f"{name} contains non-finite values")
+    return np.atleast_2d(v)
 
 
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
@@ -79,7 +89,7 @@ class PointSet:
         if d < 2:
             raise DimensionMismatch(f"points must have dimension >= 2, got {d}")
         if not np.all(np.isfinite(pts)):
-            raise ValueError("points contain non-finite values")
+            raise NonFinite("points contain non-finite values")
         object.__setattr__(self, "points", _readonly(pts))
 
     @property

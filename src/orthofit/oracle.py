@@ -2,9 +2,9 @@
 
 Two deliberately different routes to the same answers live here:
 
-* grid_search_direction scans a dense grid of candidate directions and
-  scores each from the cloud's own d x d scatter, with no eigensolver
-  involved.
+* grid_search_direction scores a dense grid of candidate directions in
+  one einsum over the cloud's own d x d scatter, with no eigensolver
+  involved. The grid array dominates its memory.
 * cubic_eigenvalues solves the 3x3 characteristic polynomial in closed
   trigonometric form, with no iteration involved.
 
@@ -23,10 +23,6 @@ import numpy as np
 from .errors import DimensionMismatch, UnsupportedDimension
 from .geometry import PointSet, _readonly, canonical_direction
 from .solver import _check_symmetric
-
-# Directions scored per step of the scan; bounds the per-step arrays.
-_CHUNK = 16384
-
 
 @dataclass(frozen=True)
 class GridSearchResult:
@@ -76,9 +72,11 @@ def grid_search_direction(points: PointSet, resolution_deg: float) -> GridSearch
     centered cloud y. It is scored as xi - s^T Omega s from the energy
     xi = sum |y|^2 and the d x d scatter Omega = sum y y^T, both formed once
     by einsum, so each direction costs O(d^2), independent of the number of
-    points. The returned value quantizes the true optimum: it can exceed it
-    by roughly (lam1 - lam2) sin^2(delta) for a grid offset delta of at most
-    about resolution_deg / sqrt(2).
+    points. One einsum scores the whole grid, and exact ties go to the
+    lexicographically smallest raw grid vector. The returned value
+    quantizes the true optimum: it can exceed it by roughly
+    (lam1 - lam2) sin^2(delta) for a grid offset delta of at most about
+    resolution_deg / sqrt(2).
 
     Args:
         points: the cloud; centered internally.
@@ -104,23 +102,10 @@ def grid_search_direction(points: PointSet, resolution_deg: float) -> GridSearch
     # with accumulate_scatter.
     omega = np.einsum("ij,ik->jk", y, y)
     directions = _grid_directions(points.dim, resolution_deg)
+    values = total_sq - np.einsum("ij,jk,ik->i", directions, omega, directions)
+    best_value = float(values.min())
+    best_raw = min(tuple(row) for row in directions[values == best_value])
 
-    best_value = math.inf
-    best_raw: tuple[float, ...] | None = None
-    for start in range(0, directions.shape[0], _CHUNK):
-        chunk = directions[start : start + _CHUNK]
-        values = total_sq - np.einsum("ij,jk,ik->i", chunk, omega, chunk)
-        local_min = float(values.min())
-        if local_min > best_value:
-            continue
-        candidates = [tuple(row) for row in chunk[values == local_min]]
-        if local_min < best_value:
-            best_value = local_min
-            best_raw = min(candidates)
-        else:
-            best_raw = min(min(candidates), best_raw)
-
-    assert best_raw is not None
     return GridSearchResult(
         best_direction=canonical_direction(np.array(best_raw)),
         best_sq_distance=max(best_value, 0.0),

@@ -14,11 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotSymmetric, NotUnit, ZeroVector
-from .geometry import _as_vector, _canonical_signs, _readonly
+from .errors import NoConvergence, NonFinite, NotSymmetric, NotUnit, ZeroVector
+from .geometry import _as_rows, _as_vector, _canonical_signs, _readonly
 from .scatter import ScatterSummary
 
 SYMMETRY_RTOL = 1e-10
+# Relative gap (lam1 - lam2) / |lam1| below which the dominant eigenvector
+# is flagged as ambiguous.
+AMBIGUITY_GAP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -29,21 +32,16 @@ class SolverConfig:
         tol: convergence threshold on the off-diagonal Frobenius norm,
             relative to the Frobenius norm of the input.
         max_sweeps: full cyclic sweeps allowed before giving up.
-        ambiguity_gap: relative gap (lam1 - lam2) / |lam1| below which the
-            dominant eigenvector is flagged as ambiguous.
     """
 
     tol: float = 1e-12
     max_sweeps: int = 64
-    ambiguity_gap: float = 1e-8
 
     def __post_init__(self):
         if not (self.tol > 0.0):
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_sweeps < 1:
             raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
-        if self.ambiguity_gap < 0.0:
-            raise ValueError(f"ambiguity_gap must be >= 0, got {self.ambiguity_gap}")
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,7 @@ def _check_symmetric(matrix) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite values")
+        raise NonFinite("matrix contains non-finite values")
     scale = float(np.max(np.abs(a)))
     skew = float(np.max(np.abs(a - a.T)))
     if skew > SYMMETRY_RTOL * max(scale, np.finfo(np.float64).tiny):
@@ -177,7 +175,7 @@ def dominant_eigenpair(matrix, config: SolverConfig | None = None) -> EigenSolut
     if d >= 2:
         tiny = np.finfo(np.float64).tiny
         rel_gap = (spectrum[0] - spectrum[1]) / max(abs(spectrum[0]), tiny)
-        ambiguous = bool(rel_gap < cfg.ambiguity_gap)
+        ambiguous = bool(rel_gap < AMBIGUITY_GAP)
     else:
         ambiguous = False
 
@@ -208,20 +206,31 @@ def stationarity_residual(matrix, s) -> float:
     return float(np.linalg.norm(a @ vec - lam * vec))
 
 
-def quadratic_objective(summary: ScatterSummary, s) -> float:
+def _rows_and_norms(s) -> tuple[np.ndarray, np.ndarray]:
+    """Directions as (k, d) rows and their squared norms, none of them zero."""
+    vecs = _as_rows(s, "direction")
+    ss = np.einsum("ij,ij->i", vecs, vecs)
+    if not np.all(ss > 0.0):
+        raise ZeroVector("direction has zero length")
+    return vecs, ss
+
+
+def quadratic_objective(summary: ScatterSummary, s):
     """Summed squared orthogonal distance for the direction s, any scale.
 
     Evaluates the Rayleigh quotient s^T C s / s^T s of the complement
-    matrix C, so s need not be unit; it must be nonzero.
+    matrix C, so s need not be unit; it must be nonzero. s is one
+    direction (d,), giving a float, or a stack (k, d), giving a (k,) array
+    with one value per row. The sums are np.einsum reductions, not BLAS
+    calls, so a row's value does not depend on the stack it sits in or on
+    the BLAS thread count.
 
     Raises:
-        ZeroVector: if s has zero norm.
+        ZeroVector: if s, or any row of it, has zero norm.
     """
-    vec = _as_vector(s, "direction")
-    ss = float(vec @ vec)
-    if ss == 0.0:
-        raise ZeroVector("objective direction has zero length")
-    return float(vec @ (summary.complement @ vec)) / ss
+    vecs, ss = _rows_and_norms(s)
+    values = np.einsum("ij,jk,ik->i", vecs, summary.complement, vecs) / ss
+    return float(values[0]) if np.ndim(s) == 1 else values
 
 
 def objective_gradient(summary: ScatterSummary, s) -> np.ndarray:
@@ -243,6 +252,8 @@ def finite_diff_gradient(summary: ScatterSummary, s, h: float = 1e-5) -> np.ndar
     """Central finite-difference estimate of the objective gradient.
 
     Independent of objective_gradient's formula; used to cross-check it.
+    One quadratic_objective call scores the 2d points s + h e_i and
+    s - h e_i.
 
     Args:
         h: step size, must be positive.
@@ -250,15 +261,10 @@ def finite_diff_gradient(summary: ScatterSummary, s, h: float = 1e-5) -> np.ndar
     if not (h > 0.0):
         raise ValueError(f"step size must be positive, got {h}")
     vec = _as_vector(s, "direction")
-    grad = np.empty_like(vec)
-    for i in range(vec.shape[0]):
-        step = np.zeros_like(vec)
-        step[i] = h
-        grad[i] = (
-            quadratic_objective(summary, vec + step)
-            - quadratic_objective(summary, vec - step)
-        ) / (2.0 * h)
-    return grad
+    steps = h * np.eye(vec.shape[0])
+    values = quadratic_objective(summary, np.concatenate([vec + steps, vec - steps]))
+    forward, backward = np.split(values, 2)
+    return (forward - backward) / (2.0 * h)
 
 
 def stationarity_forms(summary: ScatterSummary, s) -> tuple[np.ndarray, np.ndarray]:
@@ -270,13 +276,22 @@ def stationarity_forms(summary: ScatterSummary, s) -> tuple[np.ndarray, np.ndarr
     are algebraically identical; comparing them exercises both accumulation
     routes. Either one is the unnormalized objective gradient; both vanish
     exactly at eigenvectors.
+
+    s is one direction (d,), giving two (d,) arrays, or a stack (k, d),
+    giving two (k, d) arrays with one field per row. The products are
+    np.einsum reductions, not BLAS calls, so a row's field does not depend
+    on the stack it sits in or on the BLAS thread count.
+
+    Raises:
+        ZeroVector: if s, or any row of it, has zero norm.
     """
-    vec = _as_vector(s, "direction")
-    ss = float(vec @ vec)
-    if ss == 0.0:
-        raise ZeroVector("direction has zero length")
-    cs = summary.complement @ vec
-    form_complement = ss * cs - float(vec @ cs) * vec
-    os_ = summary.scatter @ vec
-    form_scatter = float(vec @ os_) * vec - ss * os_
+    vecs, ss = _rows_and_norms(s)
+    cs = np.einsum("jk,ik->ij", summary.complement, vecs)
+    os_ = np.einsum("jk,ik->ij", summary.scatter, vecs)
+    scs = np.einsum("ij,ij->i", vecs, cs)
+    sos = np.einsum("ij,ij->i", vecs, os_)
+    form_complement = ss[:, None] * cs - scs[:, None] * vecs
+    form_scatter = sos[:, None] * vecs - ss[:, None] * os_
+    if np.ndim(s) == 1:
+        return form_complement[0], form_scatter[0]
     return form_complement, form_scatter

@@ -182,6 +182,13 @@ class TestFitErrors:
         proc = run_cli("fit", "--input", str(bad))
         assert proc.returncode == 3
 
+    def test_overflowing_scatter_is_a_typed_error(self):
+        # 1e308 parses as finite, but its square overflows the scatter.
+        proc = run_cli("fit", stdin_text="1,2\n1e308,3\n4,5\n")
+        assert proc.returncode == 2
+        assert "error: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_file(self):
         proc = run_cli("fit", "--input", "does-not-exist.csv")
         assert proc.returncode == 3

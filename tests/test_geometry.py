@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthofit.errors import DegenerateInput, DimensionMismatch, ZeroVector
+from orthofit.errors import DegenerateInput, DimensionMismatch, NonFinite, ZeroVector
 from orthofit.geometry import (
     SIGN_EPS,
     ParametricLine,
@@ -208,6 +208,10 @@ class TestTypes:
             PointSet(np.zeros(5))
         with pytest.raises(ValueError):
             PointSet(np.array([[1.0, np.nan], [0.0, 1.0]]))
+        with pytest.raises(NonFinite):
+            PointSet(np.array([[1.0, np.inf], [0.0, 1.0]]))
+        with pytest.raises(NonFinite):
+            ParametricLine(np.array([np.nan, 0.0]), np.array([1.0, 0.0]))
 
     def test_point_set_is_immutable(self):
         ps = PointSet(np.ones((3, 2)))

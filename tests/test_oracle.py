@@ -74,37 +74,6 @@ class TestGridSearch:
         assert a.best_sq_distance == b.best_sq_distance
         assert a.evaluated == b.evaluated
 
-    def test_block_cap_leaves_small_clouds_bit_identical(self, monkeypatch):
-        # The 3-d grid at 1 degree has 32760 nodes, more than one chunk;
-        # scanning them in one chunk must give the same bits.
-        rng = np.random.default_rng(5)
-        ps = PointSet(line_cloud(rng, 256, 3, sigma=0.3)[0])
-        capped = grid_search_direction(ps, 1.0)
-        assert capped.evaluated > oracle._CHUNK
-        monkeypatch.setattr(oracle, "_CHUNK", 2**62)
-        uncapped = grid_search_direction(ps, 1.0)
-        assert np.array_equal(capped.best_direction, uncapped.best_direction)
-        assert capped.best_sq_distance == uncapped.best_sq_distance
-        assert capped.evaluated == uncapped.evaluated
-
-    @pytest.mark.parametrize("chunk", [7, 1000])
-    def test_small_chunks_keep_the_result(self, monkeypatch, chunk):
-        rng = np.random.default_rng(6)
-        clouds = [
-            (PointSet(line_cloud(rng, 40, 3, sigma=0.3)[0]), 1.0),
-            # Every direction ties at zero: the tie rule must hold across chunks.
-            (PointSet(np.array([[1.0, 1.0], [1.0, 1.0]])), 1.0),
-        ]
-        for ps, res in clouds:
-            whole = grid_search_direction(ps, res)
-            monkeypatch.setattr(oracle, "_CHUNK", chunk)
-            chunked = grid_search_direction(ps, res)
-            monkeypatch.undo()
-            assert np.array_equal(chunked.best_direction, whole.best_direction)
-            assert chunked.evaluated == whole.evaluated
-            scale = float(np.sum((ps.points - ps.points.mean(axis=0)) ** 2))
-            assert abs(chunked.best_sq_distance - whole.best_sq_distance) <= 1e-12 * scale
-
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("offset", [0.0, 1e6])
     def test_matches_brute_force_projection_scan(self, dim, offset):
@@ -125,7 +94,7 @@ class TestGridSearch:
             assert abs(result.best_sq_distance - max(best, 0.0)) <= 1e-12 * xi
 
     def test_memory_small_for_large_cloud(self):
-        # The scan keeps a d x d scatter and one chunk of scores, so its
+        # The scan keeps a d x d scatter and one score per direction, so its
         # peak is the centered copy and the grid, not n x directions.
         rng = np.random.default_rng(8)
         ps = PointSet(line_cloud(rng, 50_000, 3, sigma=0.3)[0])

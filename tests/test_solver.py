@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthofit.errors import NoConvergence, NotSymmetric, NotUnit, ZeroVector
+from orthofit.errors import (
+    DimensionMismatch,
+    NoConvergence,
+    NonFinite,
+    NotSymmetric,
+    NotUnit,
+    ZeroVector,
+)
 from orthofit.geometry import ParametricLine, PointSet, center, line_distances_sq
 from orthofit.scatter import accumulate_scatter
 from orthofit.solver import (
@@ -130,6 +137,10 @@ class TestDominantEigenpair:
         with pytest.raises(NotSymmetric):
             dominant_eigenpair(np.ones((2, 3)))
 
+    def test_non_finite_matrix_is_typed(self):
+        with pytest.raises(NonFinite):
+            dominant_eigenpair(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
     def test_tiny_asymmetry_is_tolerated(self):
         a = np.array([[2.0, 1.0], [1.0 + 1e-12, 2.0]])
         sol = dominant_eigenpair(a)
@@ -153,8 +164,6 @@ class TestDominantEigenpair:
             SolverConfig(tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_sweeps=0)
-        with pytest.raises(ValueError):
-            SolverConfig(ambiguity_gap=-1.0)
 
     def test_direction_is_canonical(self):
         rng = np.random.default_rng(47)
@@ -295,6 +304,43 @@ class TestStationarityForms:
             assert np.max(np.abs(grad - 2.0 / ss**2 * form_a)) <= 1e-12 * max(
                 float(np.max(np.abs(grad))), 1e-30
             )
+
+
+class TestStackedDiagnostics:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("k", [1, 50])
+    def test_each_row_matches_the_single_call(self, dim, k):
+        summary = summary_for(300 + dim, 25, dim)
+        rng = np.random.default_rng([dim, k])
+        stack = rng.standard_normal((k, dim)) * 10.0 ** rng.uniform(-2.0, 2.0, (k, 1))
+        values = quadratic_objective(summary, stack)
+        forms_a, forms_b = stationarity_forms(summary, stack)
+        assert values.shape == (k,)
+        assert forms_a.shape == forms_b.shape == (k, dim)
+        for row, value, form_a, form_b in zip(stack, values, forms_a, forms_b):
+            single = quadratic_objective(summary, row)
+            assert isinstance(single, float)
+            assert abs(value - single) <= 1e-12 * abs(single)
+            single_a, single_b = stationarity_forms(summary, row)
+            assert single_a.shape == single_b.shape == (dim,)
+            for stacked, one in ((form_a, single_a), (form_b, single_b)):
+                scale = float(np.max(np.abs(one)))
+                assert np.max(np.abs(stacked - one)) <= 1e-12 * scale
+
+    def test_any_zero_row_is_rejected(self):
+        summary = summary_for(51, 10, 3)
+        stack = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(ZeroVector):
+            quadratic_objective(summary, stack)
+        with pytest.raises(ZeroVector):
+            stationarity_forms(summary, stack)
+
+    def test_rows_are_validated(self):
+        summary = summary_for(53, 10, 2)
+        with pytest.raises(NonFinite):
+            quadratic_objective(summary, np.array([[1.0, 0.0], [np.inf, 1.0]]))
+        with pytest.raises(DimensionMismatch):
+            stationarity_forms(summary, np.ones((2, 2, 2)))
 
 
 class TestMinimality:
