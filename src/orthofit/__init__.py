@@ -42,7 +42,6 @@ from .oracle import GridSearchResult, cubic_eigenvalues, grid_search_direction
 from .scatter import ScatterSummary, accumulate_scatter, cross_matrix, rejection_matrix
 from .solver import (
     EigenSolution,
-    SolverConfig,
     dominant_eigenpair,
     finite_diff_gradient,
     objective_gradient,
@@ -71,7 +70,6 @@ __all__ = [
     "PointSet",
     "RankDeficient",
     "ScatterSummary",
-    "SolverConfig",
     "UnsupportedDimension",
     "ZeroVector",
     "accumulate_scatter",

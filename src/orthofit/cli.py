@@ -30,6 +30,7 @@ from .errors import (
     DegenerateInput,
     InvariantViolation,
     NoConvergence,
+    NonFinite,
     OrthofitError,
     ParseError,
     ZeroVector,
@@ -45,7 +46,6 @@ from .geometry import PointSet, center
 from .oracle import cubic_eigenvalues, grid_search_direction
 from .scatter import accumulate_scatter
 from .solver import (
-    SolverConfig,
     finite_diff_gradient,
     quadratic_objective,
     stationarity_forms,
@@ -247,8 +247,7 @@ def _fit_csv(result) -> str:
 
 def cmd_fit(args) -> int:
     points = _read_points(args.input)
-    config = SolverConfig(tol=args.tol, max_sweeps=args.max_sweeps)
-    result = fit_tls_line(points, config)
+    result = fit_tls_line(points)
     if args.format == "json":
         text = json.dumps(_fit_document(result, args.per_point), indent=2) + "\n"
     elif args.format == "csv":
@@ -264,11 +263,14 @@ def cmd_gen(args) -> int:
         raise ParseError(f"--n must be at least 2, got {args.n}")
     if args.dim < 2:
         raise ParseError(f"--dim must be at least 2, got {args.dim}")
-    if args.sigma < 0.0:
-        raise ParseError(f"--sigma must be nonnegative, got {args.sigma}")
+    if not (0.0 <= args.sigma < math.inf):
+        raise ParseError(f"--sigma must be finite and nonnegative, got {args.sigma}")
     t_lo, t_hi = args.t_range
-    if not (t_lo < t_hi):
-        raise ParseError(f"--t-range must satisfy MIN < MAX, got {t_lo} {t_hi}")
+    # A finite span implies finite bounds; NaN fails the comparison.
+    if not (t_lo < t_hi and math.isfinite(t_hi - t_lo)):
+        raise ParseError(
+            f"--t-range must be finite with MIN < MAX and a finite span, got {t_lo} {t_hi}"
+        )
 
     rng = np.random.default_rng(args.seed)
     if args.direction is not None:
@@ -277,8 +279,13 @@ def cmd_gen(args) -> int:
             raise ParseError(
                 f"--direction has {raw.shape[0]} components, --dim is {args.dim}"
             )
-        if float(np.linalg.norm(raw)) == 0.0:
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(raw))
+        if norm == 0.0:
             raise ZeroVector("--direction has zero length")
+        if not math.isfinite(norm):
+            # The squared norm overflowed; rescaled, it cannot.
+            raw = raw / float(np.max(np.abs(raw)))
         direction = raw / float(np.linalg.norm(raw))
     else:
         raw = rng.standard_normal(args.dim)
@@ -296,11 +303,15 @@ def cmd_gen(args) -> int:
         anchor = np.zeros(args.dim)
 
     t = rng.uniform(t_lo, t_hi, args.n)
-    if args.noise == "uniform":
-        noise = rng.uniform(-1.0, 1.0, (args.n, args.dim)) * args.sigma
-    else:
-        noise = rng.standard_normal((args.n, args.dim)) * args.sigma
-    points = anchor + t[:, None] * direction + noise
+    # Large flags can overflow; the check below reports it as NonFinite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.noise == "uniform":
+            noise = rng.uniform(-1.0, 1.0, (args.n, args.dim)) * args.sigma
+        else:
+            noise = rng.standard_normal((args.n, args.dim)) * args.sigma
+        points = anchor + t[:, None] * direction + noise
+    if not np.isfinite(points).all():
+        raise NonFinite("generated coordinates overflow; reduce --anchor, --t-range or --sigma")
 
     lines = [
         f"# generated cloud: n={args.n} dim={args.dim} seed={args.seed}"
@@ -316,8 +327,7 @@ def cmd_gen(args) -> int:
 
 def cmd_compare(args) -> int:
     points = _read_points(args.input)
-    config = SolverConfig(tol=args.tol, max_sweeps=args.max_sweeps)
-    tls = fit_tls_line(points, config)
+    tls = fit_tls_line(points)
     tls_vertical = vertical_residual_sq(points, tls.line, args.dependent_col)
 
     lse_error: str | None = None
@@ -433,9 +443,10 @@ def cmd_check(args) -> int:
     in the same shape, or 'SKIP name (reason)' for checks that do not apply
     to the input's dimension. Exit code is 1 when anything failed.
     """
+    if not (0.0 < args.resolution_deg <= 10.0):
+        raise ParseError(f"--resolution-deg must be in (0, 10], got {args.resolution_deg}")
     points = _read_points(args.input)
-    config = SolverConfig(tol=args.tol, max_sweeps=args.max_sweeps)
-    result = fit_tls_line(points, config)
+    result = fit_tls_line(points)
     centered, _ = center(points)
     summary = accumulate_scatter(centered)
     direction = result.line.direction
@@ -542,15 +553,6 @@ def _add_io_flags(sub, with_format: bool = True) -> None:
         )
 
 
-def _add_solver_flags(sub) -> None:
-    sub.add_argument(
-        "--tol", type=float, default=1e-12, help="solver tolerance (default 1e-12)"
-    )
-    sub.add_argument(
-        "--max-sweeps", type=int, default=64, help="solver sweep budget (default 64)"
-    )
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parse_args leaves it
@@ -563,7 +565,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fit = subparsers.add_parser("fit", help="fit a line to a point cloud")
     _add_io_flags(p_fit)
-    _add_solver_flags(p_fit)
     p_fit.add_argument(
         "--per-point",
         action="store_true",
@@ -607,7 +608,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "compare", help="orthogonal fit vs. classical explicit fit"
     )
     _add_io_flags(p_cmp)
-    _add_solver_flags(p_cmp)
     p_cmp.add_argument(
         "--dependent-col",
         type=int,
@@ -618,7 +618,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_chk = subparsers.add_parser("check", help="run self-diagnostics on an input")
     _add_io_flags(p_chk, with_format=False)
-    _add_solver_flags(p_chk)
     p_chk.add_argument("--seed", type=int, default=0, help="seed for probe directions")
     p_chk.add_argument(
         "--resolution-deg",

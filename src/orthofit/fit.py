@@ -24,7 +24,7 @@ from .geometry import (
     line_distances_sq,
 )
 from .scatter import accumulate_scatter
-from .solver import EigenSolution, SolverConfig, dominant_eigenpair
+from .solver import EigenSolution, dominant_eigenpair
 
 @dataclass(frozen=True)
 class LineFitResult:
@@ -80,7 +80,7 @@ class ExplicitFitResult:
         )
 
 
-def fit_tls_line(points: PointSet, config: SolverConfig | None = None) -> LineFitResult:
+def fit_tls_line(points: PointSet) -> LineFitResult:
     """Fit a line minimizing the summed squared orthogonal distances.
 
     Centers the cloud on its centroid, accumulates the scatter matrix, and
@@ -88,15 +88,18 @@ def fit_tls_line(points: PointSet, config: SolverConfig | None = None) -> LineFi
     passes through the centroid, which becomes the anchor. The reported
     total is the sum of per-point squared rejection norms rather than the
     algebraically equal difference of large aggregates, so collinear data
-    comes out at the rounding floor instead of cancellation noise.
+    comes out at the rounding floor instead of cancellation noise. The
+    fit takes no settings; the eigensolver's tolerance and sweep budget are
+    the constants solver.JACOBI_TOL and solver.MAX_SWEEPS.
 
     Raises:
         DegenerateInput: if all points coincide.
-        NoConvergence: if the eigensolver fails to converge (propagated).
+        NoConvergence: if the eigensolver does not converge within
+            solver.MAX_SWEEPS sweeps (propagated).
     """
     centered, centroid_vec = center(points)
     summary = accumulate_scatter(centered)
-    eigen = dominant_eigenpair(summary.scatter, config)
+    eigen = dominant_eigenpair(summary.scatter)
     line = ParametricLine(anchor=centroid_vec, direction=eigen.direction)
     per_point = line_distances_sq(points, line)
     return LineFitResult(

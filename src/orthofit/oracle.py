@@ -56,11 +56,14 @@ def _grid_directions(dim: int, resolution_deg: float) -> np.ndarray:
     # inclusive of the equator when the resolution divides 90 evenly.
     polar = np.deg2rad(np.arange(0.0, 90.0 + 1e-9, resolution_deg))
     azimuth = np.deg2rad(np.arange(0.0, 360.0, resolution_deg))
-    pol, az = np.meshgrid(polar, azimuth, indexing="ij")
-    sin_pol = np.sin(pol).ravel()
-    return np.column_stack(
-        [sin_pol * np.cos(az).ravel(), sin_pol * np.sin(az).ravel(), np.cos(pol).ravel()]
-    )
+    # Filled in place by broadcasting, so the grid is the only
+    # polar x azimuth array: no meshgrid, no trig on the full grid.
+    sin_pol = np.sin(polar)[:, None]
+    grid = np.empty((polar.size, azimuth.size, 3))
+    np.multiply(sin_pol, np.cos(azimuth), out=grid[:, :, 0])
+    np.multiply(sin_pol, np.sin(azimuth), out=grid[:, :, 1])
+    grid[:, :, 2] = np.cos(polar)[:, None]
+    return grid.reshape(-1, 3)
 
 
 def grid_search_direction(points: PointSet, resolution_deg: float) -> GridSearchResult:

@@ -1,14 +1,17 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import angle_between
 
-from orthofit import cli
+from orthofit import cli, solver
 from orthofit.fit import fit_lse_explicit, fit_tls_line, line_from_explicit
 from orthofit.geometry import PointSet, line_distances_sq
 
@@ -197,15 +200,19 @@ class TestFitErrors:
         proc = run_cli("fit", "--nope")
         assert proc.returncode == 3
 
-    def test_no_convergence_exit_code(self, tmp_path):
+    def test_no_convergence_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(solver, "MAX_SWEEPS", 1)
         rng = np.random.default_rng(0)
         pts = rng.uniform(-1.0, 1.0, (20, 3))
         cloud = tmp_path / "c.csv"
         cloud.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in pts) + "\n")
-        proc = run_cli(
-            "fit", "--input", str(cloud), "--tol", "1e-30", "--max-sweeps", "1"
-        )
-        assert proc.returncode == 4
+        assert cli.main(["fit", "--input", str(cloud)]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_solver_flags_are_gone(self):
+        proc = run_cli("fit", "--tol", "1e-12")
+        assert proc.returncode == 3
+        assert "unrecognized arguments: --tol" in proc.stderr
 
     def test_help_exits_zero(self):
         assert run_cli("--help").returncode == 0
@@ -295,8 +302,30 @@ class TestGenCommand:
         assert run_cli("gen", "--n", "1").returncode == 3
         assert run_cli("gen", "--dim", "1").returncode == 3
         assert run_cli("gen", "--sigma", "-0.5").returncode == 3
+        assert run_cli("gen", "--sigma", "nan").returncode == 3
+        assert run_cli("gen", "--sigma", "inf").returncode == 3
         assert run_cli("gen", "--t-range", "2", "2").returncode == 3
+        assert run_cli("gen", "--t-range", "0", "inf").returncode == 3
+        assert run_cli("gen", "--t-range", "nan", "1").returncode == 3
         assert run_cli("gen", "--direction", "1,2").returncode == 3  # dim mismatch
+        # Flags that are each finite but overflow the coordinates together.
+        proc = run_cli(
+            "gen", "--sigma", "0", "--anchor", "1.5e308,0,0",
+            "--t-range", "0", "1e308", "--direction", "1,0,0",
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+
+    def test_overflowing_direction_is_normalized(self, capsys):
+        assert cli.main(["gen", "--n", "5", "--direction", "1e308,1e308,0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        direction = next(
+            line for line in captured.out.splitlines() if line.startswith("# direction:")
+        )
+        unit = 1.0 / math.sqrt(2.0)
+        assert direction == f"# direction: {unit!r},{unit!r},0.0"
 
 
 class TestCompareCommand:
@@ -544,3 +573,44 @@ class TestCheckCommand:
         cloud.write_text("1,1\n1,1\n")
         proc = run_cli("check", "--input", str(cloud))
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("resolution", ["0", "-1", "20", "nan"])
+    def test_resolution_out_of_range_is_a_usage_error(self, noisy_cloud, resolution):
+        proc = run_cli("check", "--input", str(noisy_cloud), "--resolution-deg", resolution)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: --resolution-deg")
+        assert "Traceback" not in proc.stderr
+
+
+class TestReadmeMatchesParser:
+    """The README's command-line examples and flags match the parser."""
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+    def test_example_commands_parse(self):
+        blocks = re.findall(r"^```[a-z]*\n(.*?)^```", self.readme, re.M | re.S)
+        commands = [
+            shlex.split(line)
+            for block in blocks
+            for line in block.splitlines()
+            if line.startswith("orthofit ")
+        ]
+        assert commands
+        for words in commands:
+            if ">" in words:
+                words = words[: words.index(">")]
+            cli._build_parser().parse_args(words[1:])
+
+    def test_documented_flags_exist(self):
+        section = self.readme.split("## Command line", 1)[1].split("## Testing", 1)[0]
+        (subcommands,) = [
+            action.choices
+            for action in cli._build_parser()._actions
+            if isinstance(action.choices, dict)
+        ]
+        options = {
+            flag for sub in subcommands.values() for flag in sub._option_string_actions
+        }
+        documented = set(re.findall(r"--[a-z][a-z-]*", section))
+        assert documented
+        assert documented <= options, sorted(documented - options)

@@ -93,6 +93,25 @@ class TestGridSearch:
             assert np.array_equal(result.best_direction, canonical_direction(np.array(node)))
             assert abs(result.best_sq_distance - max(best, 0.0)) <= 1e-12 * xi
 
+    def test_grid_is_built_without_full_size_temporaries(self):
+        # The only polar x azimuth array is the grid itself (~12 MiB at
+        # 0.25 degrees); a meshgrid build holds several of them at once.
+        tracemalloc.start()
+        try:
+            grid = oracle._grid_directions(3, 0.25)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        polar = np.deg2rad(np.arange(0.0, 90.0 + 1e-9, 0.25))
+        azimuth = np.deg2rad(np.arange(0.0, 360.0, 0.25))
+        pol, az = np.meshgrid(polar, azimuth, indexing="ij")
+        sin_pol = np.sin(pol).ravel()
+        reference = np.column_stack(
+            [sin_pol * np.cos(az).ravel(), sin_pol * np.sin(az).ravel(), np.cos(pol).ravel()]
+        )
+        assert grid.tobytes() == reference.tobytes()
+
     def test_memory_small_for_large_cloud(self):
         # The scan keeps a d x d scatter and one score per direction, so its
         # peak is the centered copy and the grid, not n x directions.
