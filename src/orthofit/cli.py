@@ -33,7 +33,6 @@ from .errors import (
     NonFinite,
     OrthofitError,
     ParseError,
-    ZeroVector,
 )
 from .fit import (
     fit_lse_explicit,
@@ -42,9 +41,8 @@ from .fit import (
     total_orthogonal_distance,
     vertical_residual_sq,
 )
-from .geometry import PointSet, center
+from .geometry import PointSet, _unit, line_distances_sq
 from .oracle import cubic_eigenvalues, grid_search_direction
-from .scatter import accumulate_scatter
 from .solver import (
     finite_diff_gradient,
     quadratic_objective,
@@ -279,19 +277,11 @@ def cmd_gen(args) -> int:
             raise ParseError(
                 f"--direction has {raw.shape[0]} components, --dim is {args.dim}"
             )
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(raw))
-        if norm == 0.0:
-            raise ZeroVector("--direction has zero length")
-        if not math.isfinite(norm):
-            # The squared norm overflowed; rescaled, it cannot.
-            raw = raw / float(np.max(np.abs(raw)))
-        direction = raw / float(np.linalg.norm(raw))
     else:
         raw = rng.standard_normal(args.dim)
-        while float(np.linalg.norm(raw)) == 0.0:
+        while not raw.any():
             raw = rng.standard_normal(args.dim)
-        direction = raw / float(np.linalg.norm(raw))
+    direction = _unit(raw, "--direction")
 
     if args.anchor is not None:
         anchor = _parse_vector_flag(args.anchor, "--anchor")
@@ -343,7 +333,7 @@ def cmd_compare(args) -> int:
         lse_orth = total_orthogonal_distance(points, lse_line)
         # The orthogonal fit minimizes exactly this quantity, so any other
         # line scoring better means the fitter is broken, not the data.
-        cloud_scale = float(np.sum(tls.eigen.spectrum))
+        cloud_scale = tls.moments.total_sq_norm
         if lse_orth - tls.total_sq_distance < -1e-9 * cloud_scale:
             raise InvariantViolation(
                 f"explicit-fit line scored {lse_orth!r}, below the orthogonal "
@@ -417,8 +407,6 @@ def _compare_table(tls, tls_vertical, lse, lse_line, lse_orth, lse_error, ratio)
 
 
 def _compare_csv(points, tls, lse_line) -> str:
-    from .geometry import line_distances_sq
-
     lines = [
         f"# tls_direction: {_repr_vec(tls.line.direction)}",
     ]
@@ -447,10 +435,9 @@ def cmd_check(args) -> int:
         raise ParseError(f"--resolution-deg must be in (0, 10], got {args.resolution_deg}")
     points = _read_points(args.input)
     result = fit_tls_line(points)
-    centered, _ = center(points)
-    summary = accumulate_scatter(centered)
+    moments = result.moments
     direction = result.line.direction
-    cloud_scale = summary.total_sq_norm
+    cloud_scale = moments.total_sq_norm
     rng = np.random.default_rng(args.seed)
 
     report: list[tuple[str, str, str]] = []
@@ -459,19 +446,19 @@ def cmd_check(args) -> int:
     tol = 1e-8 * cloud_scale
     report.append(_verdict("stationarity-residual", measured, tol))
 
-    measured = float(np.linalg.norm(finite_diff_gradient(summary, direction)))
+    measured = float(np.linalg.norm(finite_diff_gradient(moments, direction)))
     tol = 1e-6 * cloud_scale
     report.append(_verdict("gradient-norm", measured, tol))
 
-    form_a, form_b = stationarity_forms(summary, rng.standard_normal((50, points.dim)))
+    form_a, form_b = stationarity_forms(moments, rng.standard_normal((50, points.dim)))
     scale = np.maximum(np.linalg.norm([form_a, form_b], axis=2).max(axis=0), 1e-30)
     worst = float(np.max(np.linalg.norm(form_a - form_b, axis=1) / scale))
     report.append(_verdict("stationarity-forms", worst, 1e-9))
 
     routes = [
         result.total_sq_distance,
-        quadratic_objective(summary, direction),
-        summary.total_sq_norm - result.eigen.rayleigh,
+        quadratic_objective(moments, direction),
+        moments.total_sq_norm - result.eigen.rayleigh,
     ]
     measured = max(abs(a - b) for a in routes for b in routes)
     tol = 1e-9 * cloud_scale
@@ -507,7 +494,7 @@ def cmd_check(args) -> int:
         )
 
     if points.dim == 3:
-        closed_form = cubic_eigenvalues(summary.scatter)
+        closed_form = cubic_eigenvalues(moments.scatter)
         measured = float(np.max(np.abs(result.eigen.spectrum - closed_form)))
         tol = 1e-8 * cloud_scale
         report.append(_verdict("spectrum-cubic", measured, tol))
@@ -630,25 +617,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code of each error class, most specific first: the first class the
+# error is an instance of gives the code.
+_EXIT_CODES = (
+    (ParseError, 3),
+    (NoConvergence, 4),
+    (InvariantViolation, 1),
+    (OrthofitError, 2),
+    (OSError, 3),
+)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (OrthofitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NoConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except InvariantViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OrthofitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

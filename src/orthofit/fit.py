@@ -20,10 +20,11 @@ from .geometry import (
     ParametricLine,
     PointSet,
     _readonly,
+    _rejection_sq,
     center,
     line_distances_sq,
 )
-from .scatter import accumulate_scatter
+from .scatter import ScatterSummary, accumulate_scatter
 from .solver import EigenSolution, dominant_eigenpair
 
 @dataclass(frozen=True)
@@ -31,24 +32,31 @@ class LineFitResult:
     """Outcome of an orthogonal-distance line fit.
 
     Attributes:
-        line: fitted line; anchor is the cloud centroid.
+        line: fitted line; anchor is the cloud centroid rounded to float64.
         total_sq_distance: sum of squared orthogonal distances, numpy's sum
             of the per-point values (deterministic for a fixed n).
-        per_point_sq: squared orthogonal distance of each input point.
+        per_point_sq: squared orthogonal distance of each input point,
+            measured on the centered cloud, not from the rounded anchor.
         eigen: the eigensolution behind the fit (spectrum, ambiguity flag).
-        n_points: number of points fitted.
+        moments: the second moments of the centered cloud that the fit
+            used; their scatter is the matrix eigen solved.
     """
 
     line: ParametricLine
     total_sq_distance: float
     per_point_sq: np.ndarray
     eigen: EigenSolution
-    n_points: int
+    moments: ScatterSummary
 
     def __post_init__(self):
         object.__setattr__(
             self, "per_point_sq", _readonly(np.asarray(self.per_point_sq, dtype=np.float64))
         )
+
+    @property
+    def n_points(self) -> int:
+        """Number of points fitted."""
+        return self.moments.n_points
 
 
 @dataclass(frozen=True)
@@ -85,12 +93,15 @@ def fit_tls_line(points: PointSet) -> LineFitResult:
 
     Centers the cloud on its centroid, accumulates the scatter matrix, and
     takes the dominant eigenvector as the direction; the optimal line always
-    passes through the centroid, which becomes the anchor. The reported
-    total is the sum of per-point squared rejection norms rather than the
-    algebraically equal difference of large aggregates, so collinear data
-    comes out at the rounding floor instead of cancellation noise. The
-    fit takes no settings; the eigensolver's tolerance and sweep budget are
-    the constants solver.JACOBI_TOL and solver.MAX_SWEEPS.
+    passes through the centroid, which becomes the anchor once rounded to
+    float64. The distances are the rejections of the centered cloud from
+    the direction, so they are measured from the centroid itself, not from
+    the rounded anchor, whose rounding grows with the cloud's offset from
+    the origin. The reported total is the sum of these per-point squares
+    rather than the algebraically equal difference of large aggregates, so
+    collinear data comes out at the rounding floor instead of cancellation
+    noise. The fit takes no settings; the eigensolver's tolerance and sweep
+    budget are the constants solver.JACOBI_TOL and solver.MAX_SWEEPS.
 
     Raises:
         DegenerateInput: if all points coincide.
@@ -98,24 +109,26 @@ def fit_tls_line(points: PointSet) -> LineFitResult:
             solver.MAX_SWEEPS sweeps (propagated).
     """
     centered, centroid_vec = center(points)
-    summary = accumulate_scatter(centered)
-    eigen = dominant_eigenpair(summary.scatter)
+    moments = accumulate_scatter(centered)
+    eigen = dominant_eigenpair(moments.scatter)
     line = ParametricLine(anchor=centroid_vec, direction=eigen.direction)
-    per_point = line_distances_sq(points, line)
+    per_point = _rejection_sq(centered.points, line.direction)
     return LineFitResult(
         line=line,
         total_sq_distance=float(np.sum(per_point)),
         per_point_sq=per_point,
         eigen=eigen,
-        n_points=len(points),
+        moments=moments,
     )
 
 
 def total_orthogonal_distance(points: PointSet, line: ParametricLine) -> float:
     """Summed squared orthogonal distance from a cloud to an arbitrary line.
 
-    For the fitted line this reproduces LineFitResult.total_sq_distance; for
-    any other line it can only be larger (up to rounding).
+    Measured from line.anchor. For the fitted line this matches
+    LineFitResult.total_sq_distance up to the anchor's rounding to float64,
+    not bit for bit: the fit measures from the centroid itself. For any
+    other line it can only be larger (up to rounding).
     """
     return float(np.sum(line_distances_sq(points, line)))
 

@@ -52,21 +52,38 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     return np.where(first < -SIGN_EPS, -vectors, vectors)
 
 
+def _unit(v: np.ndarray, name: str = "direction") -> np.ndarray:
+    """v divided by its Euclidean norm, at any finite magnitude.
+
+    v is first scaled by the power of two of max|v| (frexp and ldexp),
+    which puts its largest component in [0.5, 1): the squared norm can then
+    neither overflow nor underflow. The scaling is exact, save for
+    components some 2^1022 times smaller than the largest, and it commutes
+    with the norm and the division, so for ordinary magnitudes the result
+    is bit-identical to v / |v|.
+
+    Raises:
+        ZeroVector: if v is all zeros (or empty), naming it by name.
+    """
+    peak = float(np.max(np.abs(v), initial=0.0))
+    if peak == 0.0:
+        raise ZeroVector(f"{name} has zero length")
+    w = np.ldexp(v, -math.frexp(peak)[1])
+    return w / np.linalg.norm(w)
+
+
 def canonical_direction(v) -> np.ndarray:
     """Normalize a direction vector and fix its sign.
 
     The returned vector has unit Euclidean norm and its first component with
     magnitude above SIGN_EPS is positive. Both v and -v map to the same
-    output, so directions can be compared directly.
+    output, so directions can be compared directly. Any finite nonzero v
+    works, from subnormal components to ones near the float64 maximum.
 
     Raises:
         ZeroVector: if v has zero norm.
     """
-    v = _as_vector(v, "direction")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ZeroVector("direction has zero length")
-    return _canonical_signs((v / norm)[:, None])[:, 0]
+    return _canonical_signs(_unit(_as_vector(v, "direction"))[:, None])[:, 0]
 
 
 @dataclass(frozen=True)
@@ -158,6 +175,17 @@ def center(points: PointSet) -> tuple[PointSet, np.ndarray]:
     return PointSet(y - shift), first + shift
 
 
+def _rejection_sq(y: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Squared norm of each row's rejection y - (y.s)s from the unit s.
+
+    That is the squared orthogonal distance of each row of y from the line
+    through the origin along s. point_line_distance_sq, line_distances_sq
+    and fit_tls_line (on its centered cloud) all measure through it.
+    """
+    r = y - (y @ s)[:, None] * s
+    return np.einsum("ij,ij->i", r, r)
+
+
 def point_line_distance_sq(x, line: ParametricLine) -> float:
     """Squared orthogonal distance from a point to a line.
 
@@ -175,9 +203,7 @@ def point_line_distance_sq(x, line: ParametricLine) -> float:
         raise DimensionMismatch(
             f"point has dimension {p.shape[0]}, line has dimension {line.dim}"
         )
-    y = p - line.anchor
-    r = y - (y @ line.direction) * line.direction
-    return float(r @ r)
+    return float(_rejection_sq((p - line.anchor)[None, :], line.direction)[0])
 
 
 def line_distances_sq(points: PointSet, line: ParametricLine) -> np.ndarray:
@@ -190,7 +216,4 @@ def line_distances_sq(points: PointSet, line: ParametricLine) -> np.ndarray:
         raise DimensionMismatch(
             f"points have dimension {points.dim}, line has dimension {line.dim}"
         )
-    y = points.points - line.anchor
-    proj = y @ line.direction
-    r = y - proj[:, None] * line.direction
-    return np.einsum("ij,ij->i", r, r)
+    return _rejection_sq(points.points - line.anchor, line.direction)

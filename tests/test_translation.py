@@ -7,14 +7,21 @@ the same geometry. Only the centering's rounding may separate them: the
 directions by a few eps, the anchors by rounding at o's magnitude. The
 explicit baseline centers by the same rule, so the same holds for it, and
 scaling by a power of two, which is exact, leaves its coefficients alone.
+The fit measures its distances on the centered cloud, not from the rounded
+anchor, so its total and `check`'s diagnostics hold at any offset too.
 """
+
+import contextlib
+import io
+import warnings
 
 import numpy as np
 import pytest
 from conftest import angle_between, line_cloud
 
+from orthofit import cli
 from orthofit.fit import fit_lse_explicit, fit_tls_line
-from orthofit.geometry import PointSet
+from orthofit.geometry import PointSet, canonical_direction
 
 OFFSETS = (1e3, 1e6, 1e9, 1e12)
 CLOUDS_PER_OFFSET = 200
@@ -76,3 +83,56 @@ def test_explicit_fit_is_scale_invariant(k):
         w = fit_lse_explicit(PointSet(near)).coefficients
         scaled = fit_lse_explicit(PointSet(np.ldexp(near, k))).coefficients
         assert np.linalg.norm(scaled - w) <= 1e-14 * np.linalg.norm(w)
+
+
+@pytest.mark.parametrize("offset", (*OFFSETS, 1e15))
+def test_total_matches_energy_minus_rayleigh(offset):
+    for seed in range(CLOUDS_PER_OFFSET):
+        q, _ = offset_cloud(seed, offset)
+        result = fit_tls_line(PointSet(q))
+        xi = result.moments.total_sq_norm
+        aggregate = xi - result.eigen.rayleigh
+        assert abs(result.total_sq_distance - aggregate) <= 1e-9 * xi
+
+
+@pytest.mark.parametrize("offset", (1e12, 1e15))
+@pytest.mark.parametrize("dim", (2, 3, 5, 8, 12))
+def test_check_passes_far_from_origin(tmp_path, offset, dim):
+    cloud = tmp_path / "cloud.csv"
+    anchor = ",".join([repr(offset)] * dim)
+    for seed in range(15):
+        assert cli.main([
+            "gen", "--n", "300", "--sigma", "0.1", "--dim", str(dim),
+            "--seed", str(seed), "--anchor", anchor, "--output", str(cloud),
+        ]) == 0
+        report = io.StringIO()
+        with contextlib.redirect_stdout(report):
+            code = cli.main(["check", "--resolution-deg", "2", "--input", str(cloud)])
+        assert code == 0, report.getvalue()
+
+
+EXTREME_DIRECTIONS = (
+    [1e-200, 1e-200],
+    [1e-160, 1e-160],
+    [1e200, 1e200],
+    [1e300, -1e300],
+    [5e-324, 0.0],
+)
+
+
+@pytest.mark.parametrize("raw", EXTREME_DIRECTIONS, ids=lambda raw: ",".join(map(repr, raw)))
+def test_extreme_direction_is_unit(raw, capsys):
+    flag = ",".join(map(repr, raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unit = canonical_direction(raw)
+        assert cli.main(["gen", "--n", "5", "--dim", "2", "--direction", flag]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    header = next(line for line in captured.out.splitlines() if line.startswith("# direction:"))
+    written = np.array([float(c) for c in header.split(":")[1].split(",")])
+    expected = np.array(raw) / np.max(np.abs(raw))
+    expected = expected / np.linalg.norm(expected)
+    assert np.max(np.abs(unit - canonical_direction(expected))) <= 1e-15
+    assert np.max(np.abs(written - expected)) <= 1e-15
+    assert abs(float(np.linalg.norm(written)) - 1.0) <= 1e-15
