@@ -14,7 +14,6 @@ from .errors import (
     NoConvergence,
     NonFinite,
     NotSymmetric,
-    NotUnit,
     OrthofitError,
     ParseError,
     RankDeficient,
@@ -44,10 +43,8 @@ from .solver import (
     EigenSolution,
     dominant_eigenpair,
     finite_diff_gradient,
-    objective_gradient,
     quadratic_objective,
     stationarity_forms,
-    stationarity_residual,
 )
 
 __version__ = "0.1.0"
@@ -63,7 +60,6 @@ __all__ = [
     "NoConvergence",
     "NonFinite",
     "NotSymmetric",
-    "NotUnit",
     "OrthofitError",
     "ParametricLine",
     "ParseError",
@@ -84,12 +80,10 @@ __all__ = [
     "grid_search_direction",
     "line_distances_sq",
     "line_from_explicit",
-    "objective_gradient",
     "point_line_distance_sq",
     "quadratic_objective",
     "rejection_matrix",
     "stationarity_forms",
-    "stationarity_residual",
     "total_orthogonal_distance",
     "vertical_residual_sq",
 ]

@@ -55,15 +55,6 @@ from .solver import (
 _PARSE_BLOCK = 8192
 
 
-def _fmt(x: float) -> str:
-    """Human format: 12 significant digits."""
-    return format(float(x), ".12g")
-
-
-def _fmt_vec(v) -> str:
-    return " ".join(_fmt(c) for c in v)
-
-
 def _repr_num(x: float) -> str:
     """Machine format: shortest representation that round-trips."""
     return repr(float(x))
@@ -196,63 +187,63 @@ def _parse_vector_flag(text: str, name: str) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
-def _fit_document(result, per_point: bool) -> dict:
-    doc = {
+def _fit_document(result) -> dict:
+    """The fields every fit report carries, in report order.
+
+    fit's json output is this document, fit's table and csv outputs render
+    it, and compare's json and table outputs embed it.
+    """
+    return {
         "anchor": [float(c) for c in result.line.anchor],
         "direction": [float(c) for c in result.line.direction],
         "total_sq_distance": float(result.total_sq_distance),
         "spectrum": [float(v) for v in result.eigen.spectrum],
         "ambiguous": bool(result.eigen.ambiguous),
     }
-    if per_point:
-        doc["per_point_sq"] = result.per_point_sq.tolist()
-    return doc
 
 
-def _fit_table(result, per_point: bool) -> str:
-    rows = [
-        ("n-points", str(result.n_points)),
-        ("dim", str(result.line.dim)),
-        ("anchor", _fmt_vec(result.line.anchor)),
-        ("direction", _fmt_vec(result.line.direction)),
-        ("total-sq-distance", _fmt(result.total_sq_distance)),
-        ("spectrum", _fmt_vec(result.eigen.spectrum)),
-        ("ambiguous", "yes" if result.eigen.ambiguous else "no"),
-    ]
-    width = max(len(key) for key, _ in rows)
-    lines = [f"{key:<{width}}  {value}" for key, value in rows]
-    if per_point:
-        lines.append("")
-        lines.append("index  sq-distance")
-        lines.extend(
-            f"{i:>5}  {v:.12g}" for i, v in enumerate(result.per_point_sq.tolist())
-        )
-    return "\n".join(lines) + "\n"
+def _human(value) -> str:
+    """Table form of a document value; a float gets 12 significant digits."""
+    if value is None:
+        return "undefined"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, (int, str)):
+        return str(value)
+    if isinstance(value, list):
+        return " ".join(map(_human, value))
+    return format(value, ".12g")
 
 
-def _fit_csv(result) -> str:
-    lines = [
-        f"# anchor: {_repr_vec(result.line.anchor)}",
-        f"# direction: {_repr_vec(result.line.direction)}",
-        f"# total_sq_distance: {_repr_num(result.total_sq_distance)}",
-        f"# spectrum: {_repr_vec(result.eigen.spectrum)}",
-        f"# ambiguous: {'true' if result.eigen.ambiguous else 'false'}",
-        "index,sq_distance",
-    ]
-    lines.extend(f"{i},{v!r}" for i, v in enumerate(result.per_point_sq.tolist()))
-    return "\n".join(lines) + "\n"
+def _machine(value) -> str:
+    """Csv header form of a document value."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return _repr_vec(value)
+    return _repr_num(value)
 
 
 def cmd_fit(args) -> int:
-    points = _read_points(args.input)
-    result = fit_tls_line(points)
+    result = fit_tls_line(_read_points(args.input))
+    doc = _fit_document(result)
+    per_point = result.per_point_sq.tolist()
     if args.format == "json":
-        text = json.dumps(_fit_document(result, args.per_point), indent=2) + "\n"
+        if args.per_point:
+            doc["per_point_sq"] = per_point
+        lines = [json.dumps(doc, indent=2)]
     elif args.format == "csv":
-        text = _fit_csv(result)
+        lines = [f"# {key}: {_machine(value)}" for key, value in doc.items()]
+        lines.append("index,sq_distance")
+        lines.extend(f"{i},{v!r}" for i, v in enumerate(per_point))
     else:
-        text = _fit_table(result, args.per_point)
-    _write_output(args.output, text)
+        rows = {"n_points": result.n_points, "dim": result.line.dim, **doc}
+        width = max(len(key) for key in rows)
+        lines = [f"{key.replace('_', '-'):<{width}}  {_human(v)}" for key, v in rows.items()]
+        if args.per_point:
+            lines += ["", "index  sq-distance"]
+            lines.extend(f"{i:>5}  {v:.12g}" for i, v in enumerate(per_point))
+    _write_output(args.output, "\n".join(lines) + "\n")
     return 0
 
 
@@ -319,49 +310,23 @@ def cmd_compare(args) -> int:
     points = _read_points(args.input)
     tls = fit_tls_line(points)
     tls_vertical = vertical_residual_sq(points, tls.line, args.dependent_col)
-
-    lse_error: str | None = None
-    lse = None
+    doc: dict = {"tls": {**_fit_document(tls), "vertical_residual_sq": tls_vertical}}
     lse_line = None
-    lse_orth = None
+    ratio = None
     try:
         lse = fit_lse_explicit(points, args.dependent_col)
     except OrthofitError as exc:
-        lse_error = str(exc)
+        doc["lse"] = {"error": str(exc)}
     else:
         lse_line = line_from_explicit(lse)
         lse_orth = total_orthogonal_distance(points, lse_line)
         # The orthogonal fit minimizes exactly this quantity, so any other
         # line scoring better means the fitter is broken, not the data.
-        cloud_scale = tls.moments.total_sq_norm
-        if lse_orth - tls.total_sq_distance < -1e-9 * cloud_scale:
+        if lse_orth - tls.total_sq_distance < -1e-9 * tls.moments.total_sq_norm:
             raise InvariantViolation(
                 f"explicit-fit line scored {lse_orth!r}, below the orthogonal "
                 f"minimum {tls.total_sq_distance!r}"
             )
-
-    ratio = None
-    if lse_orth is not None and tls.total_sq_distance > 0.0:
-        ratio = lse_orth / tls.total_sq_distance
-
-    if args.format == "json":
-        text = _compare_json(tls, tls_vertical, lse, lse_line, lse_orth, lse_error, ratio)
-    elif args.format == "csv":
-        text = _compare_csv(points, tls, lse_line)
-    else:
-        text = _compare_table(tls, tls_vertical, lse, lse_line, lse_orth, lse_error, ratio)
-    _write_output(args.output, text)
-    return 2 if lse_error is not None else 0
-
-
-def _compare_json(tls, tls_vertical, lse, lse_line, lse_orth, lse_error, ratio) -> str:
-    doc: dict = {"tls": _fit_document(tls, per_point=False)}
-    doc["tls"]["vertical_residual_sq"] = (
-        float(tls_vertical) if tls_vertical is not None else None
-    )
-    if lse_error is not None:
-        doc["lse"] = {"error": lse_error}
-    else:
         doc["lse"] = {
             "coefficients": [float(c) for c in lse.coefficients],
             "offset": float(lse.offset),
@@ -371,38 +336,46 @@ def _compare_json(tls, tls_vertical, lse, lse_line, lse_orth, lse_error, ratio) 
             "direction": [float(c) for c in lse_line.direction],
             "orthogonal_sq_distance": float(lse_orth),
         }
-    doc["ratio_orthogonal"] = float(ratio) if ratio is not None else None
-    return json.dumps(doc, indent=2) + "\n"
+        if tls.total_sq_distance > 0.0:
+            ratio = lse_orth / tls.total_sq_distance
+    doc["ratio_orthogonal"] = ratio
 
-
-def _compare_table(tls, tls_vertical, lse, lse_line, lse_orth, lse_error, ratio) -> str:
-    lines = [
-        "orthogonal (total least squares):",
-        f"  anchor            {_fmt_vec(tls.line.anchor)}",
-        f"  direction         {_fmt_vec(tls.line.direction)}",
-        f"  orthogonal-sq     {_fmt(tls.total_sq_distance)}",
-        f"  vertical-sq       "
-        + (_fmt(tls_vertical) if tls_vertical is not None else "undefined"),
-        f"  ambiguous         {'yes' if tls.eigen.ambiguous else 'no'}",
-        "explicit (vertical least squares):",
-    ]
-    if lse_error is not None:
-        lines.append(f"  error             {lse_error}")
+    if args.format == "json":
+        text = json.dumps(doc, indent=2) + "\n"
+    elif args.format == "csv":
+        text = _compare_csv(points, tls, lse_line)
     else:
+        text = _compare_table(doc)
+    _write_output(args.output, text)
+    return 2 if "error" in doc["lse"] else 0
+
+
+# The compare table: a heading per section of the compare document, then
+# one (label, field) row per field that the section holds.
+_COMPARE_ROWS = (
+    ("orthogonal (total least squares):", "tls", (
+        ("anchor", "anchor"), ("direction", "direction"),
+        ("orthogonal-sq", "total_sq_distance"), ("vertical-sq", "vertical_residual_sq"),
+        ("ambiguous", "ambiguous"),
+    )),
+    ("explicit (vertical least squares):", "lse", (
+        ("error", "error"), ("coefficients", "coefficients"), ("offset", "offset"),
+        ("vertical-sq", "vertical_residual_sq"), ("line-anchor", "anchor"),
+        ("line-direction", "direction"), ("orthogonal-sq", "orthogonal_sq_distance"),
+    )),
+)
+
+
+def _compare_table(doc: dict) -> str:
+    lines = []
+    for heading, section, rows in _COMPARE_ROWS:
+        lines.append(heading)
         lines.extend(
-            [
-                f"  coefficients      {_fmt_vec(lse.coefficients)}",
-                f"  offset            {_fmt(lse.offset)}",
-                f"  vertical-sq       {_fmt(lse.residual_sq)}",
-                f"  line-anchor       {_fmt_vec(lse_line.anchor)}",
-                f"  line-direction    {_fmt_vec(lse_line.direction)}",
-                f"  orthogonal-sq     {_fmt(lse_orth)}",
-            ]
+            f"  {label:<18}{_human(doc[section][field])}"
+            for label, field in rows
+            if field in doc[section]
         )
-    lines.append(
-        "ratio explicit/orthogonal  "
-        + (_fmt(ratio) if ratio is not None else "undefined")
-    )
+    lines.append(f"ratio explicit/orthogonal  {_human(doc['ratio_orthogonal'])}")
     return "\n".join(lines) + "\n"
 
 

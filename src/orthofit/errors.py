@@ -18,10 +18,6 @@ class ZeroVector(OrthofitError):
     """A direction or axis vector has zero (or effectively zero) length."""
 
 
-class NotUnit(OrthofitError):
-    """A vector that must be unit length is not."""
-
-
 class NonFinite(OrthofitError, ValueError):
     """An input or an intermediate result holds an infinity or a NaN.
 

@@ -101,8 +101,9 @@ def grid_search_direction(points: PointSet, resolution_deg: float) -> GridSearch
     y = points.points - points.points.mean(axis=0)
     y -= y.mean(axis=0)
     total_sq = float(np.einsum("ij,ij->", y, y))
-    # Formed by einsum, not a matrix product, so the oracle shares no code
-    # with accumulate_scatter.
+    # The scatter formula is the one accumulate_scatter uses; the oracle's
+    # independence from the fit lies in its own centering above and in the
+    # direction scan below, which needs no eigensolver.
     omega = np.einsum("ij,ik->jk", y, y)
     directions = _grid_directions(points.dim, resolution_deg)
     values = total_sq - np.einsum("ij,jk,ik->i", directions, omega, directions)

@@ -91,11 +91,12 @@ def accumulate_scatter(centered: PointSet) -> ScatterSummary:
 
     Any cloud is accepted. Its moments are the central ones, which the fit
     needs, when `centered` comes from geometry.center; nothing here
-    re-checks that. The scatter is one matrix product and the total squared
-    norm one numpy sum, both deterministic for a fixed array shape, so the
-    result is reproducible for identical input. The scatter matrix is
-    symmetrized afterwards to remove any rounding drift between the two
-    triangles.
+    re-checks that. The scatter is one np.einsum("ij,ik->jk") reduction and
+    the total squared norm one numpy sum, both summed in an order fixed by
+    the array's shape and not by the BLAS thread count, so the result is
+    reproducible for identical input on any number of threads. einsum forms
+    entries (j, k) and (k, j) from the same products summed in the same
+    order, so the scatter is exactly symmetric.
 
     Raises:
         DegenerateInput: if all points sit at the origin, which leaves every
@@ -105,6 +106,5 @@ def accumulate_scatter(centered: PointSet) -> ScatterSummary:
     total_sq_norm = float(np.sum(pts * pts))
     if total_sq_norm <= 0.0:
         raise DegenerateInput("all points coincide; every direction fits equally well")
-    omega = pts.T @ pts
-    omega = 0.5 * (omega + omega.T)
+    omega = np.einsum("ij,ik->jk", pts, pts)
     return ScatterSummary(total_sq_norm=total_sq_norm, scatter=omega, n_points=pts.shape[0])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NonFinite, NotSymmetric, NotUnit, ZeroVector
+from .errors import NoConvergence, NonFinite, NotSymmetric, ZeroVector
 from .geometry import _as_rows, _as_vector, _canonical_signs, _readonly
 from .scatter import ScatterSummary
 
@@ -98,6 +98,15 @@ def dominant_eigenpair(matrix) -> EigenSolution:
     iteration has no settings: it stops at JACOBI_TOL and gives up after
     MAX_SWEEPS sweeps.
 
+    Everything runs on the input scaled by the power of two that brings its
+    largest entry into [0.5, 1): the rotations, the stopping norms, the
+    Rayleigh quotient and the residual. The scaling is exact, so at
+    ordinary magnitudes the bits are those of the unscaled iteration. At
+    any magnitude of a finite input the norms cannot overflow, and only
+    entries far below JACOBI_TOL of the largest can underflow in them. The
+    spectrum, the Rayleigh quotient and the residual are scaled back by the
+    same power of two; the eigenvectors need no scaling back.
+
     Args:
         matrix: square symmetric array (checked to SYMMETRY_RTOL, then
             symmetrized exactly before iterating).
@@ -108,6 +117,8 @@ def dominant_eigenpair(matrix) -> EigenSolution:
             above JACOBI_TOL relative to the input's Frobenius norm.
     """
     a0 = _check_symmetric(matrix)
+    exp = math.frexp(float(np.max(np.abs(a0))))[1]
+    a0 = np.ldexp(a0, -exp)
     a = a0.copy()
     d = a.shape[0]
     v = np.eye(d)
@@ -152,8 +163,8 @@ def dominant_eigenpair(matrix) -> EigenSolution:
                 v[:, q] = s * vp + c * vq
     if _off_diag_norm(a) > threshold:
         raise NoConvergence(
-            f"off-diagonal norm {_off_diag_norm(a):g} still above {threshold:g} "
-            f"after {MAX_SWEEPS} sweeps"
+            f"off-diagonal norm {math.ldexp(_off_diag_norm(a), exp):g} still above "
+            f"{math.ldexp(threshold, exp):g} after {MAX_SWEEPS} sweeps"
         )
 
     eigenvalues = np.diag(a).copy()
@@ -173,29 +184,12 @@ def dominant_eigenpair(matrix) -> EigenSolution:
 
     return EigenSolution(
         direction=direction,
-        rayleigh=rayleigh,
-        stationarity_residual=residual,
+        rayleigh=math.ldexp(rayleigh, exp),
+        stationarity_residual=math.ldexp(residual, exp),
         ambiguous=ambiguous,
-        spectrum=spectrum,
+        spectrum=np.ldexp(spectrum, exp),
         eigenvectors=vectors,
     )
-
-
-def stationarity_residual(matrix, s) -> float:
-    """Norm of the eigen-residual A s - (s^T A s) s for a unit vector s.
-
-    Zero exactly when s is an eigenvector of A.
-
-    Raises:
-        NotUnit: if |s| deviates from 1 by more than 1e-9.
-    """
-    a = _check_symmetric(matrix)
-    vec = _as_vector(s, "s")
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > 1e-9:
-        raise NotUnit(f"expected a unit vector, got norm {norm!r}")
-    lam = float(vec @ (a @ vec))
-    return float(np.linalg.norm(a @ vec - lam * vec))
 
 
 def _rows_and_norms(s) -> tuple[np.ndarray, np.ndarray]:
@@ -225,27 +219,14 @@ def quadratic_objective(summary: ScatterSummary, s):
     return float(values[0]) if np.ndim(s) == 1 else values
 
 
-def objective_gradient(summary: ScatterSummary, s) -> np.ndarray:
-    """Gradient of quadratic_objective with respect to s.
-
-    For D(s) = s^T C s / s^T s the gradient is
-    (2 / (s^T s)^2) * ((s^T s) C s - (s^T C s) s); it vanishes exactly at
-    the eigenvectors of C.
-    """
-    vec = _as_vector(s, "direction")
-    ss = float(vec @ vec)
-    if ss == 0.0:
-        raise ZeroVector("gradient direction has zero length")
-    cs = summary.complement @ vec
-    return (2.0 / ss**2) * (ss * cs - float(vec @ cs) * vec)
-
-
 def finite_diff_gradient(summary: ScatterSummary, s) -> np.ndarray:
     """Central finite-difference estimate of the objective gradient.
 
-    Independent of objective_gradient's formula; used to cross-check it.
-    One quadratic_objective call scores the 2d points s + h e_i and
-    s - h e_i, with the fixed step h = FD_STEP.
+    The analytic gradient of D(s) = s^T C s / s^T s is
+    (2 / (s^T s)^2) times the complement form of stationarity_forms; this
+    estimate shares no formula with it and cross-checks it. One
+    quadratic_objective call scores the 2d points s + h e_i and s - h e_i,
+    with the fixed step h = FD_STEP.
     """
     vec = _as_vector(s, "direction")
     steps = FD_STEP * np.eye(vec.shape[0])
@@ -261,8 +242,8 @@ def stationarity_forms(summary: ScatterSummary, s) -> tuple[np.ndarray, np.ndarr
     Form two uses the scatter matrix O:    (s^T O s) s - (s^T s) O s.
     Because C = xi I - O, the identity terms cancel and the two expressions
     are algebraically identical; comparing them exercises both accumulation
-    routes. Either one is the unnormalized objective gradient; both vanish
-    exactly at eigenvectors.
+    routes. Either one times 2 / (s^T s)^2 is the gradient of
+    quadratic_objective; both vanish exactly at eigenvectors.
 
     s is one direction (d,), giving two (d,) arrays, or a stack (k, d),
     giving two (k, d) arrays with one field per row. The products are

@@ -516,21 +516,30 @@ class TestParserReuse:
 
 class TestBlasThreads:
     def test_output_independent_of_blas_thread_count(self, tmp_path):
-        # The scatter is a BLAS matrix product; its bytes must not depend on
-        # how many threads the BLAS splits it over. check also runs the grid
-        # oracle, which scores from its own einsum scatter.
+        # Every sum over points is a numpy reduction or an einsum, so no
+        # output may depend on how many threads the BLAS has. The wide
+        # files are where a BLAS matrix product for the scatter would split
+        # its sums over threads; d = 100 is the slow one (~5 s per fit).
         cloud = tmp_path / "big.csv"
         assert cli.main(
             ["gen", "--output", str(cloud), "--n", "20000", "--dim", "3", "--seed", "5"]
         ) == 0
+        wide = []
+        for dim in ("12", "100"):
+            path = tmp_path / f"d{dim}.csv"
+            argv = ["gen", "--output", str(path), "--n", "500", "--dim", dim, "--seed", "3"]
+            assert cli.main([*argv, "--sigma", "0.3"]) == 0
+            wide.append(path)
         outputs = []
         for threads in ("1", "2"):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
             fit = run_cli("fit", "--input", str(cloud), "--format", "csv", env=env)
             cmp = run_cli("compare", "--input", str(cloud), "--format", "json", env=env)
             chk = run_cli("check", "--input", str(cloud), "--resolution-deg", "1", env=env)
-            assert fit.returncode == 0 and cmp.returncode == 0 and chk.returncode == 0
-            outputs.append((fit.stdout, cmp.stdout, chk.stdout))
+            fits = [run_cli("fit", "--input", str(p), "--format", "json", env=env) for p in wide]
+            procs = [fit, cmp, chk, *fits]
+            assert all(proc.returncode == 0 for proc in procs)
+            outputs.append([proc.stdout for proc in procs])
         assert outputs[0] == outputs[1]
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import angle_between, line_cloud, random_rotation
+from test_moments import sum_tol
 
 from orthofit.errors import DegenerateInput, DimensionMismatch, RankDeficient
 from orthofit.fit import (
@@ -85,10 +86,12 @@ class TestTlsFit:
         for row, value in zip(pts, result.per_point_sq):
             direct = point_line_distance_sq(row, result.line)
             assert abs(value - direct) <= 1e-12 * max(direct, 1.0)
+        assert result.total_sq_distance == float(np.sum(result.per_point_sq))
         total = 0.0
         for value in result.per_point_sq:
             total += float(value)
-        assert result.total_sq_distance == total
+        tol = sum_tol(30, float(np.max(result.per_point_sq)))
+        assert abs(result.total_sq_distance - total) <= tol
 
     def test_matches_svd_oracle(self):
         rng = np.random.default_rng(5)

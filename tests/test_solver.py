@@ -9,7 +9,6 @@ from orthofit.errors import (
     NoConvergence,
     NonFinite,
     NotSymmetric,
-    NotUnit,
     ZeroVector,
 )
 from orthofit.geometry import ParametricLine, PointSet, center, line_distances_sq
@@ -18,10 +17,8 @@ from orthofit.solver import (
     EigenSolution,
     dominant_eigenpair,
     finite_diff_gradient,
-    objective_gradient,
     quadratic_objective,
     stationarity_forms,
-    stationarity_residual,
 )
 
 
@@ -163,20 +160,6 @@ class TestDominantEigenpair:
                     break
 
 
-class TestStationarityResidual:
-    def test_zero_at_eigenvector(self):
-        assert stationarity_residual(np.diag([3.0, 2.0, 1.0]), [1.0, 0.0, 0.0]) == 0.0
-
-    def test_known_value_off_eigenvector(self):
-        s = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
-        value = stationarity_residual(np.diag([3.0, 2.0, 1.0]), s)
-        assert abs(value - 0.5) <= 1e-12
-
-    def test_requires_unit_vector(self):
-        with pytest.raises(NotUnit):
-            stationarity_residual(np.eye(3), [1.0, 1.0, 0.0])
-
-
 class TestObjective:
     def test_known_values(self):
         summary = accumulate_scatter(
@@ -224,6 +207,12 @@ class TestObjective:
             assert lo - margin <= value <= hi + margin
 
 
+def analytic_gradient(summary, s) -> np.ndarray:
+    """Gradient of s^T C s / s^T s: 2 / (s^T s)^2 times the complement form."""
+    s = np.asarray(s, dtype=np.float64)
+    return 2.0 / float(s @ s) ** 2 * stationarity_forms(summary, s)[0]
+
+
 class TestGradient:
     def test_finite_diff_matches_analytic(self):
         rng = np.random.default_rng(17)
@@ -231,7 +220,7 @@ class TestGradient:
             summary = summary_for(100 + dim, 30, dim)
             for _ in range(20):
                 s = rng.standard_normal(dim)
-                analytic = objective_gradient(summary, s)
+                analytic = analytic_gradient(summary, s)
                 numeric = finite_diff_gradient(summary, s)
                 assert (
                     float(np.linalg.norm(analytic - numeric))
@@ -242,7 +231,7 @@ class TestGradient:
         summary = summary_for(23, 40, 3)
         direction = dominant_eigenpair(summary.scatter).direction
         xi = summary.total_sq_norm
-        assert float(np.linalg.norm(objective_gradient(summary, direction))) <= 1e-10 * xi
+        assert float(np.linalg.norm(analytic_gradient(summary, direction))) <= 1e-10 * xi
         assert float(np.linalg.norm(finite_diff_gradient(summary, direction))) <= 1e-6 * xi
 
 
@@ -275,18 +264,6 @@ class TestStationarityForms:
         xi = summary.total_sq_norm
         assert float(np.linalg.norm(form_a)) <= 1e-12 * xi
         assert float(np.linalg.norm(form_b)) <= 1e-12 * xi
-
-    def test_proportional_to_gradient(self):
-        summary = summary_for(41, 20, 3)
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            s = rng.standard_normal(3)
-            ss = float(s @ s)
-            form_a, _ = stationarity_forms(summary, s)
-            grad = objective_gradient(summary, s)
-            assert np.max(np.abs(grad - 2.0 / ss**2 * form_a)) <= 1e-12 * max(
-                float(np.max(np.abs(grad))), 1e-30
-            )
 
 
 class TestStackedDiagnostics:
@@ -335,3 +312,17 @@ class TestMinimality:
         for _ in range(1000):
             competitor = rng.standard_normal(3)
             assert quadratic_objective(summary, competitor) >= best - slack
+
+
+def test_removed_names_are_gone():
+    # The eigen-residual has one route (EigenSolution.stationarity_residual)
+    # and the analytic gradient one (stationarity_forms' complement form).
+    import orthofit
+    from orthofit import errors
+
+    for name in ("stationarity_residual", "objective_gradient", "NotUnit"):
+        assert name not in orthofit.__all__
+        assert not hasattr(orthofit, name)
+    assert not hasattr(solver, "stationarity_residual")
+    assert not hasattr(solver, "objective_gradient")
+    assert not hasattr(errors, "NotUnit")
