@@ -25,7 +25,6 @@ from .fit import (
     LineFitResult,
     fit_lse_explicit,
     fit_tls_line,
-    line_from_explicit,
     total_orthogonal_distance,
     vertical_residual_sq,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "fit_tls_line",
     "grid_search_direction",
     "line_distances_sq",
-    "line_from_explicit",
     "point_line_distance_sq",
     "quadratic_objective",
     "rejection_matrix",

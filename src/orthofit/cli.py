@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import sys
@@ -37,7 +38,6 @@ from .errors import (
 from .fit import (
     fit_lse_explicit,
     fit_tls_line,
-    line_from_explicit,
     total_orthogonal_distance,
     vertical_residual_sq,
 )
@@ -163,9 +163,18 @@ def _raise_block_error(stripped, first_lineno: int, dim: int | None) -> NoReturn
 
 
 def _read_points(path: str) -> PointSet:
+    """Parse the points of a file, or of stdin for "-", decoded as UTF-8.
+
+    A byte that is not UTF-8 decodes to a lone surrogate (surrogateescape),
+    so it fails parsing as a bad token with its line number, or is skipped
+    with the comment it sits in, instead of failing the decode. A stdin
+    already replaced by a text stream (no byte layer) is read as it is.
+    """
     if path == "-":
+        if isinstance(sys.stdin, io.TextIOWrapper):
+            sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
         return parse_points_text(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return parse_points_text(fh)
 
 
@@ -308,6 +317,10 @@ def cmd_gen(args) -> int:
 
 def cmd_compare(args) -> int:
     points = _read_points(args.input)
+    if not (-points.dim <= args.dependent_col < points.dim):
+        raise ParseError(
+            f"dependent_col {args.dependent_col} out of range for dimension {points.dim}"
+        )
     tls = fit_tls_line(points)
     tls_vertical = vertical_residual_sq(points, tls.line, args.dependent_col)
     doc: dict = {"tls": {**_fit_document(tls), "vertical_residual_sq": tls_vertical}}
@@ -318,7 +331,7 @@ def cmd_compare(args) -> int:
     except OrthofitError as exc:
         doc["lse"] = {"error": str(exc)}
     else:
-        lse_line = line_from_explicit(lse)
+        lse_line = lse.line
         lse_orth = total_orthogonal_distance(points, lse_line)
         # The orthogonal fit minimizes exactly this quantity, so any other
         # line scoring better means the fitter is broken, not the data.

@@ -3,10 +3,11 @@
 fit_tls_line is the main entry point: it fits a line minimizing the summed
 squared orthogonal distances (total least squares). fit_lse_explicit is the
 classical baseline that minimizes vertical residuals of an explicit form
-y = w . x + b, centered by geometry.center and solved by numpy.linalg.lstsq;
-it exists so the two can be compared on the same data, where the orthogonal
-fit is never worse and is often much better once the data is steep or
-rotated.
+y = w . x + b, centered by geometry.center and solved by numpy.linalg.lstsq.
+It carries its graph as a line through the same centroid the orthogonal fit
+uses, so the two can be scored by the same metric on the same data, where
+the orthogonal fit is never worse and is often much better once the data is
+steep or rotated.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, RankDeficient
+from .errors import DimensionMismatch, NonFinite, RankDeficient
 from .geometry import (
     ParametricLine,
     PointSet,
     _readonly,
     _rejection_sq,
+    _unit,
     center,
     line_distances_sq,
 )
@@ -73,14 +75,17 @@ class ExplicitFitResult:
         residual_sq: sum of squared vertical residuals (along the dependent
             axis only).
         dependent_col: resolved index of the dependent coordinate.
-        dim: dimension of the input points.
+        line: the fitted graph as a line, so both fits can be scored by the
+            same orthogonal metric. Its anchor is the cloud centroid, the
+            same rounded centroid fit_tls_line reports; its direction is the
+            graph's steepest traversal (see fit_lse_explicit).
     """
 
     coefficients: np.ndarray
     offset: float
     residual_sq: float
     dependent_col: int
-    dim: int
+    line: ParametricLine
 
     def __post_init__(self):
         object.__setattr__(
@@ -143,25 +148,33 @@ def fit_lse_explicit(points: PointSet, dependent_col: int = -1) -> ExplicitFitRe
     rotation invariant and degrades on steep data; that contrast with
     fit_tls_line is the point of keeping it around.
 
+    The graph y = w . x + b is a line only when traversed along a single
+    direction. The result's line runs through the centroid, which lies on
+    the graph, along the direction whose independent part is the unit
+    vector along w (the steepest traversal); in two dimensions that is the
+    classical fitted line itself. When w is zero the graph is flat and the
+    first independent axis is used. Both fits anchor at the centroid, so in
+    any dimension the line moves with the cloud under translation.
+
     Args:
         points: the cloud; needs at least dim points for a full-rank system.
         dependent_col: which coordinate plays the role of y. Negative
             indices count from the end; the default is the last column.
 
     Raises:
-        RankDeficient: if the rank of the independent coordinates is below
-            d - 1 (for example when they all coincide, i.e. a vertical
-            line), or n < d.
+        RankDeficient: if the rank of the centered independent coordinates
+            is below d - 1 (for example when they all coincide, i.e. a
+            vertical line, or when there are fewer than d points).
         DimensionMismatch: if dependent_col is out of range.
+        NonFinite: if the residual or the offset overflows float64 (a cloud
+            whose coordinates are near 2^1000, say).
     """
-    n, d = points.points.shape
+    d = points.dim
     if not (-d <= dependent_col < d):
         raise DimensionMismatch(
             f"dependent_col {dependent_col} out of range for dimension {d}"
         )
     dep = dependent_col % d
-    if n < d:
-        raise RankDeficient(f"need at least {d} points for an explicit fit, got {n}")
 
     keep = [j for j in range(d) if j != dep]
     centered, c = center(points)
@@ -171,42 +184,20 @@ def fit_lse_explicit(points: PointSet, dependent_col: int = -1) -> ExplicitFitRe
     if rank < d - 1:
         raise RankDeficient(f"independent coordinates have rank {rank}, need {d - 1}")
 
-    residuals = x @ w - y
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = x @ w - y
+        residual_sq = float(np.sum(residuals * residuals))
+        offset = float(c[dep] - w @ c[keep])
+    if not np.isfinite((residual_sq, offset)).all():
+        raise NonFinite("the explicit fit's residual or offset overflows float64")
+    u = _unit(w) if w.any() else np.eye(d - 1)[0]
     return ExplicitFitResult(
         coefficients=w,
-        offset=float(c[dep] - w @ c[keep]),
-        residual_sq=float(np.sum(residuals * residuals)),
+        offset=offset,
+        residual_sq=residual_sq,
         dependent_col=dep,
-        dim=d,
+        line=ParametricLine(anchor=c, direction=np.insert(u, dep, w @ u)),
     )
-
-
-def line_from_explicit(result: ExplicitFitResult) -> ParametricLine:
-    """Convert an explicit fit to a parametric line for distance comparison.
-
-    The explicit graph y = w . x + b is a line only when traversed along a
-    single direction; we take the direction whose independent part is the
-    unit vector along w (the graph's steepest traversal), which in two
-    dimensions reproduces the classical fitted line exactly. When w is zero
-    the graph is flat and the first independent axis is used. The anchor is
-    the graph point at x = 0.
-    """
-    dep = result.dependent_col
-    keep = [j for j in range(result.dim) if j != dep]
-    w = result.coefficients
-    wnorm = float(np.linalg.norm(w))
-    if wnorm == 0.0:
-        u = np.zeros(len(keep))
-        u[0] = 1.0
-    else:
-        u = w / wnorm
-
-    direction = np.zeros(result.dim)
-    direction[keep] = u
-    direction[dep] = float(w @ u)
-    anchor = np.zeros(result.dim)
-    anchor[dep] = result.offset
-    return ParametricLine(anchor=anchor, direction=direction)
 
 
 def vertical_residual_sq(

@@ -2,7 +2,7 @@
 
 All vectors are float64 numpy arrays. A line is stored in parametric form
 (anchor point plus unit direction); the direction's sign is canonicalized so
-that equality comparisons between fits are meaningful.
+that directions from different fits can be compared directly.
 """
 
 from __future__ import annotations
@@ -76,9 +76,12 @@ def canonical_direction(v) -> np.ndarray:
     """Normalize a direction vector and fix its sign.
 
     The returned vector has unit Euclidean norm and its first component with
-    magnitude above SIGN_EPS is positive. Both v and -v map to the same
-    output, so directions can be compared directly. Any finite nonzero v
-    works, from subnormal components to ones near the float64 maximum.
+    magnitude above SIGN_EPS is positive. v, -v and 2^k v map to the same
+    bytes, for every k that keeps v's components normal floats: the power
+    of two is removed exactly before the division. Any other multiple of v
+    (3v, say) and the output itself, normalized again, agree with it only
+    to rounding, a few ulps, and often not bit for bit. Any finite nonzero
+    v works, from subnormal components to ones near the float64 maximum.
 
     Raises:
         ZeroVector: if v has zero norm.
@@ -121,9 +124,11 @@ class PointSet:
 class ParametricLine:
     """A line given by an anchor point and a unit direction.
 
-    The direction is normalized and sign-canonicalized on construction, so
-    two ParametricLine values describing the same oriented geometry compare
-    equal component-by-component.
+    The direction is normalized and sign-canonicalized on construction by
+    canonical_direction. Lines built from a direction vector, from its
+    negative or from it scaled by a power of two get the same direction
+    bytes; any other rescaling of the same geometry may move the last bits,
+    so compare such lines with a tolerance.
 
     Raises:
         ZeroVector: if the direction has zero norm.

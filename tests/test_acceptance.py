@@ -20,7 +20,6 @@ from orthofit.errors import DegenerateInput, RankDeficient
 from orthofit.fit import (
     fit_lse_explicit,
     fit_tls_line,
-    line_from_explicit,
     total_orthogonal_distance,
 )
 from orthofit.geometry import ParametricLine, PointSet, canonical_direction, center
@@ -229,7 +228,7 @@ def test_criterion_07_minimality():
                 >= result.total_sq_distance - slack
             )
         try:
-            lse_line = line_from_explicit(fit_lse_explicit(ps))
+            lse_line = fit_lse_explicit(ps).line
         except RankDeficient:
             continue
         assert (
@@ -240,7 +239,7 @@ def test_criterion_07_minimality():
     steep_ps = PointSet(steep)
     steep_fit = fit_tls_line(steep_ps)
     steep_lse = total_orthogonal_distance(
-        steep_ps, line_from_explicit(fit_lse_explicit(steep_ps))
+        steep_ps, fit_lse_explicit(steep_ps).line
     )
     assert steep_lse > 1.5 * steep_fit.total_sq_distance
     report(

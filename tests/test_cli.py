@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from conftest import angle_between
 
+import orthofit
 from orthofit import cli, solver
-from orthofit.fit import fit_lse_explicit, fit_tls_line, line_from_explicit
+from orthofit.fit import fit_lse_explicit, fit_tls_line
 from orthofit.geometry import PointSet, line_distances_sq
 
 
@@ -431,6 +432,17 @@ class TestCompareCommand:
         assert doc["lse"]["dependent_col"] == 0
         assert abs(doc["lse"]["coefficients"][0] - 2.0) <= 1e-9
 
+    @pytest.mark.parametrize("col, code", [("3", 3), ("-4", 3), ("-3", 0), ("2", 0)])
+    def test_dependent_col_range(self, noisy_cloud, capsys, col, code):
+        # An out-of-range column is a bad flag, reported before any fit.
+        argv = ["compare", "--input", str(noisy_cloud), "--dependent-col", col]
+        assert cli.main(argv) == code
+        err = capsys.readouterr().err
+        if code == 3:
+            assert err == f"error: dependent_col {col} out of range for dimension 3\n"
+        else:
+            assert err == ""
+
     def test_deterministic(self, noisy_cloud):
         a = run_cli("compare", "--input", str(noisy_cloud), "--format", "json").stdout
         b = run_cli("compare", "--input", str(noisy_cloud), "--format", "json").stdout
@@ -471,7 +483,7 @@ class TestFormatting:
         with open(noisy_cloud, encoding="utf-8") as fh:
             points = cli.parse_points_text(fh)
         tls = fit_tls_line(points).per_point_sq
-        lse = line_distances_sq(points, line_from_explicit(fit_lse_explicit(points)))
+        lse = line_distances_sq(points, fit_lse_explicit(points).line)
         assert cli.main(["compare", "--input", str(noisy_cloud), "--format", "csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
         start = lines.index("index,tls_sq,lse_sq") + 1
@@ -623,3 +635,28 @@ class TestReadmeMatchesParser:
         documented = set(re.findall(r"--[a-z][a-z-]*", section))
         assert documented
         assert documented <= options, sorted(documented - options)
+
+
+class TestReadmeMatchesLibrary:
+    """The README's library example runs and the names it cites exist."""
+
+    readme = TestReadmeMatchesParser.readme
+
+    def test_quick_start_runs(self, capsys):
+        (block,) = re.findall(r"^```python\n(.*?)^```", self.readme, re.M | re.S)
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out
+
+    def test_cited_names_resolve(self):
+        entry_points = self.readme.split("Other entry points:", 1)[1].split("\n## ", 1)[0]
+        functions = re.findall(r"`(\w+)\(", entry_points)
+        assert functions
+        missing = [name for name in functions if not hasattr(orthofit, name)]
+        attributes = re.findall(r"`(solver|geometry)\.(\w+)", self.readme)
+        assert attributes
+        missing += [
+            f"{module}.{name}"
+            for module, name in attributes
+            if not hasattr(getattr(orthofit, module), name)
+        ]
+        assert not missing, missing

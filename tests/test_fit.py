@@ -1,13 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import angle_between, line_cloud, random_rotation
 from test_moments import sum_tol
 
-from orthofit.errors import DegenerateInput, DimensionMismatch, RankDeficient
+from orthofit.errors import DegenerateInput, DimensionMismatch, NonFinite, RankDeficient
 from orthofit.fit import (
     fit_lse_explicit,
     fit_tls_line,
-    line_from_explicit,
     total_orthogonal_distance,
     vertical_residual_sq,
 )
@@ -170,7 +171,7 @@ class TestExplicitFit:
         assert abs(result.offset - 1.0) <= 1e-12
         assert result.residual_sq <= 1e-24
         assert result.dependent_col == 1
-        assert result.dim == 2
+        assert result.line.dim == 2
 
     def test_matches_lstsq_oracle(self):
         rng = np.random.default_rng(9)
@@ -220,20 +221,30 @@ class TestExplicitFit:
         with pytest.raises(DimensionMismatch):
             fit_lse_explicit(pts, dependent_col=-3)
 
+    def test_overflowing_residual_is_non_finite(self):
+        # The coefficients of a cloud near 2**1000 are fine, but its squared
+        # residuals leave float64: a typed error, not inf and a warning.
+        rng = np.random.default_rng(14)
+        pts, _, _ = line_cloud(rng, 50, 3, sigma=0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite):
+                fit_lse_explicit(PointSet(np.ldexp(pts, 1000)))
+
 
 class TestLineFromExplicit:
     def test_two_dim_slope(self):
         x = np.array([0.0, 1.0, 2.0, 3.0])
         pts = PointSet(np.column_stack([x, 2.0 * x + 1.0]))
-        line = line_from_explicit(fit_lse_explicit(pts))
-        assert np.array_equal(line.anchor, np.array([0.0, 1.0]))
+        line = fit_lse_explicit(pts).line
+        assert np.array_equal(line.anchor, np.array([1.5, 4.0]))
         expected = np.array([1.0, 2.0]) / np.sqrt(5.0)
         assert np.max(np.abs(line.direction - expected)) <= 1e-12
 
     def test_flat_graph_uses_first_independent_axis(self):
         x = np.array([0.0, 1.0, 2.0, 3.0])
         pts = PointSet(np.column_stack([x, np.full(4, 2.0)]))
-        line = line_from_explicit(fit_lse_explicit(pts))
+        line = fit_lse_explicit(pts).line
         assert np.max(np.abs(line.direction - np.array([1.0, 0.0]))) <= 1e-12
         assert abs(line.anchor[1] - 2.0) <= 1e-12
 
@@ -241,7 +252,7 @@ class TestLineFromExplicit:
         rng = np.random.default_rng(10)
         pts, _, _ = line_cloud(rng, 30, 4, sigma=0.2)
         result = fit_lse_explicit(PointSet(pts))
-        line = line_from_explicit(result)
+        line = result.line
         for t in (-2.0, -0.5, 0.0, 1.0, 3.0):
             p = line.point_at(t)
             predicted = float(result.coefficients @ p[:-1]) + result.offset
@@ -254,7 +265,7 @@ class TestLineFromExplicit:
             pts, _, _ = line_cloud(rng, 30, dim, sigma=0.4)
             ps = PointSet(pts)
             tls = fit_tls_line(ps)
-            line = line_from_explicit(fit_lse_explicit(ps))
+            line = fit_lse_explicit(ps).line
             xi = float(np.sum(tls.eigen.spectrum))
             assert total_orthogonal_distance(ps, line) >= (
                 tls.total_sq_distance - 1e-12 * xi
@@ -268,7 +279,7 @@ class TestLineFromExplicit:
         t = rng.uniform(-1.0, 1.0, 50)
         pts = PointSet(t[:, None] * direction + 0.1 * rng.standard_normal((50, 2)))
         tls = fit_tls_line(pts)
-        lse_line = line_from_explicit(fit_lse_explicit(pts))
+        lse_line = fit_lse_explicit(pts).line
         ratio = total_orthogonal_distance(pts, lse_line) / tls.total_sq_distance
         assert ratio > 1.5
 
@@ -279,7 +290,7 @@ class TestVerticalResidual:
         pts, _, _ = line_cloud(rng, 25, 2, sigma=0.3)
         ps = PointSet(pts)
         result = fit_lse_explicit(ps)
-        line = line_from_explicit(result)
+        line = result.line
         value = vertical_residual_sq(ps, line)
         manual = float(
             np.sum((pts[:, 1] - (result.coefficients[0] * pts[:, 0] + result.offset)) ** 2)
@@ -295,7 +306,7 @@ class TestVerticalResidual:
         rng = np.random.default_rng(13)
         pts, _, _ = line_cloud(rng, 30, 2, sigma=0.3)
         ps = PointSet(pts)
-        lse_value = vertical_residual_sq(ps, line_from_explicit(fit_lse_explicit(ps)))
+        lse_value = vertical_residual_sq(ps, fit_lse_explicit(ps).line)
         tls_value = vertical_residual_sq(ps, fit_tls_line(ps).line)
         assert lse_value <= tls_value + 1e-9 * max(tls_value, 1.0)
 

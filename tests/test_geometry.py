@@ -165,6 +165,18 @@ class TestCanonicalDirection:
                 assert component > 0.0
                 break
 
+    def test_bytes_fixed_under_sign_and_powers_of_two(self):
+        # The only rescalings promised to keep the bytes; 3v, or a unit
+        # vector normalized again, agree to rounding but often not exactly.
+        rng = np.random.default_rng(62)
+        for _ in range(20):
+            v = rng.standard_normal(int(rng.integers(2, 13)))
+            a = canonical_direction(v)
+            assert np.array_equal(canonical_direction(-v), a)
+            assert np.array_equal(ParametricLine(np.zeros(v.shape), -v).direction, a)
+            for k in range(-900, 901):
+                assert np.array_equal(canonical_direction(np.ldexp(v, k)), a), k
+
     def test_idempotent(self):
         v = canonical_direction(np.array([-3.0, 4.0]))
         assert np.array_equal(canonical_direction(v), v)

@@ -6,6 +6,9 @@ exception class and message, wherever the block boundaries fall.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -197,3 +200,36 @@ class TestStdin:
         proc = run_cli("fit", stdin_text="".join(lines))
         assert proc.returncode == 3
         assert proc.stderr == f"error: line {BLOCK + 1}: expected 3 coordinates, got 2\n"
+
+
+class TestNonUtf8:
+    """A byte that is not UTF-8 is a bad token, or part of a skipped
+    comment; it never ends the run in a decode traceback."""
+
+    BAD_TOKEN = b"1,2\n3,4\xe9\n5,7\n"
+
+    @pytest.mark.parametrize("command", ["fit", "compare", "check"])
+    def test_file(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(self.BAD_TOKEN)
+        assert cli.main([command, "--input", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: ")
+        assert "Traceback" not in err
+
+    def test_stdin(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "orthofit", "fit"],
+            input=self.BAD_TOKEN,
+            capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith(b"error: line 2: ")
+        assert b"Traceback" not in proc.stderr
+
+    def test_byte_in_comment_is_skipped(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"# caf\xe9\n1,2\n3,4\n5,7\n")
+        assert cli.main(["fit", "--input", str(path)]) == 0
+        assert capsys.readouterr().err == ""

@@ -13,6 +13,7 @@ anchor, so its total and `check`'s diagnostics hold at any offset too.
 
 import contextlib
 import io
+import json
 import warnings
 
 import numpy as np
@@ -109,6 +110,27 @@ def test_check_passes_far_from_origin(tmp_path, offset, dim):
         with contextlib.redirect_stdout(report):
             code = cli.main(["check", "--resolution-deg", "2", "--input", str(cloud)])
         assert code == 0, report.getvalue()
+
+
+@pytest.mark.parametrize("dim", (2, 3, 5, 8))
+def test_compare_is_translation_invariant(tmp_path, capsys, dim):
+    # Both of compare's lines pass through the same centroid, so the
+    # explicit line moves with the cloud and so does its orthogonal score.
+    cloud = tmp_path / "cloud.csv"
+    for seed in range(10):
+        docs = {}
+        for offset in (0.0, 1e3, 1e6):
+            assert cli.main([
+                "gen", "--n", "300", "--sigma", "1e-3", "--dim", str(dim),
+                "--seed", str(seed), "--anchor", ",".join([repr(offset)] * dim),
+                "--output", str(cloud),
+            ]) == 0
+            assert cli.main(["compare", "--format", "json", "--input", str(cloud)]) == 0
+            docs[offset] = json.loads(capsys.readouterr().out)
+        near = docs[0.0]["ratio_orthogonal"]
+        for doc in docs.values():
+            assert abs(doc["ratio_orthogonal"] - near) <= 1e-5 * near
+            assert json.dumps(doc["lse"]["anchor"]) == json.dumps(doc["tls"]["anchor"])
 
 
 EXTREME_DIRECTIONS = (
