@@ -34,7 +34,6 @@ from .geometry import (
     canonical_direction,
     center,
     line_distances_sq,
-    point_line_distance_sq,
 )
 from .oracle import GridSearchResult, cubic_eigenvalues, grid_search_direction
 from .scatter import ScatterSummary, accumulate_scatter, cross_matrix, rejection_matrix
@@ -78,7 +77,6 @@ __all__ = [
     "fit_tls_line",
     "grid_search_direction",
     "line_distances_sq",
-    "point_line_distance_sq",
     "quadratic_objective",
     "rejection_matrix",
     "stationarity_forms",

@@ -41,7 +41,7 @@ from .fit import (
     total_orthogonal_distance,
     vertical_residual_sq,
 )
-from .geometry import PointSet, _unit, line_distances_sq
+from .geometry import PointSet, _pow2_scaled, _unit, line_distances_sq
 from .oracle import cubic_eigenvalues, grid_search_direction
 from .solver import (
     finite_diff_gradient,
@@ -432,13 +432,17 @@ def cmd_check(args) -> int:
     tol = 1e-8 * cloud_scale
     report.append(_verdict("stationarity-residual", measured, tol))
 
-    measured = float(np.linalg.norm(finite_diff_gradient(moments, direction)))
+    # Norms are taken of power-of-two-scaled arrays (the solver's rule), so
+    # their squares neither overflow nor underflow at any cloud scale.
+    gradient, exp = _pow2_scaled(finite_diff_gradient(moments, direction))
+    measured = math.ldexp(float(np.linalg.norm(gradient)), exp)
     tol = 1e-6 * cloud_scale
     report.append(_verdict("gradient-norm", measured, tol))
 
-    form_a, form_b = stationarity_forms(moments, rng.standard_normal((50, points.dim)))
-    scale = np.maximum(np.linalg.norm([form_a, form_b], axis=2).max(axis=0), 1e-30)
-    worst = float(np.max(np.linalg.norm(form_a - form_b, axis=1) / scale))
+    probes = rng.standard_normal((50, points.dim))
+    forms, _ = _pow2_scaled(np.stack(stationarity_forms(moments, probes)))
+    scale = np.maximum(np.linalg.norm(forms, axis=2).max(axis=0), 1e-30)
+    worst = float(np.max(np.linalg.norm(forms[0] - forms[1], axis=1) / scale))
     report.append(_verdict("stationarity-forms", worst, 1e-9))
 
     routes = [

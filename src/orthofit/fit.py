@@ -20,7 +20,7 @@ from .errors import DimensionMismatch, NonFinite, RankDeficient
 from .geometry import (
     ParametricLine,
     PointSet,
-    _readonly,
+    _freeze,
     _rejection_sq,
     _unit,
     center,
@@ -51,9 +51,7 @@ class LineFitResult:
     moments: ScatterSummary
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "per_point_sq", _readonly(np.asarray(self.per_point_sq, dtype=np.float64))
-        )
+        _freeze(self, "per_point_sq")
 
     @property
     def n_points(self) -> int:
@@ -88,9 +86,7 @@ class ExplicitFitResult:
     line: ParametricLine
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coefficients", _readonly(np.asarray(self.coefficients, dtype=np.float64))
-        )
+        _freeze(self, "coefficients")
 
 
 def fit_tls_line(points: PointSet) -> LineFitResult:

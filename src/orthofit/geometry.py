@@ -23,23 +23,33 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _as_vector(x, name: str = "vector") -> np.ndarray:
-    v = np.array(x, dtype=np.float64, copy=True)
-    if v.ndim != 1:
-        raise DimensionMismatch(f"{name} must be one-dimensional, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise NonFinite(f"{name} contains non-finite values")
-    return v
+def _as_array(x, name: str, ndims: tuple[int, ...] = (1,)) -> np.ndarray:
+    """x as a fresh C-order float64 array: the one way arrays enter the library.
+
+    The copy is the callee's own, so nothing done to it reaches the caller.
+
+    Raises:
+        DimensionMismatch: if x.ndim is not in ndims, naming x by name.
+        NonFinite: if an entry is NaN or infinite.
+    """
+    a = np.array(x, dtype=np.float64, copy=True, order="C")
+    if a.ndim not in ndims:
+        kinds = "- or ".join(map(str, ndims))
+        raise DimensionMismatch(f"{name} must be a {kinds}-d array, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NonFinite(f"non-finite values in {name}")
+    return a
 
 
-def _as_rows(x, name: str = "vectors") -> np.ndarray:
-    """One vector (d,) or a stack (k, d) as a (k, d) float64 copy."""
-    v = np.array(x, dtype=np.float64, copy=True)
-    if v.ndim not in (1, 2):
-        raise DimensionMismatch(f"{name} must be one- or two-dimensional, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise NonFinite(f"{name} contains non-finite values")
-    return np.atleast_2d(v)
+def _freeze(obj, *fields: str) -> None:
+    """Set each named field of the frozen dataclass obj to a read-only
+    float64 copy of its value: the one way result arrays leave the library.
+
+    Copying leaves the arrays the caller passed in writable and unshared.
+    """
+    for field in fields:
+        value = np.array(getattr(obj, field), dtype=np.float64)
+        object.__setattr__(obj, field, _readonly(value))
 
 
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
@@ -52,23 +62,34 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     return np.where(first < -SIGN_EPS, -vectors, vectors)
 
 
+def _pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """a scaled into (-1, 1) by a power of two, and that power's exponent.
+
+    The power of two is the one that brings max|a| into [0.5, 1) (frexp
+    and ldexp), so squares and sums of squares of the scaled entries can
+    neither overflow nor underflow; an all-zero a keeps exponent 0. The
+    scaling is exact, save for entries some 2^1022 times smaller than the
+    largest, so a result computed from the scaled array and scaled back by
+    ldexp with the exponent has, at ordinary magnitudes, the bits of the
+    unscaled computation.
+    """
+    exp = math.frexp(float(np.max(np.abs(a), initial=0.0)))[1]
+    return np.ldexp(a, -exp), exp
+
+
 def _unit(v: np.ndarray, name: str = "direction") -> np.ndarray:
     """v divided by its Euclidean norm, at any finite magnitude.
 
-    v is first scaled by the power of two of max|v| (frexp and ldexp),
-    which puts its largest component in [0.5, 1): the squared norm can then
-    neither overflow nor underflow. The scaling is exact, save for
-    components some 2^1022 times smaller than the largest, and it commutes
-    with the norm and the division, so for ordinary magnitudes the result
-    is bit-identical to v / |v|.
+    The norm is taken of v scaled by _pow2_scaled, which commutes with the
+    norm and the division, so for ordinary magnitudes the result is
+    bit-identical to v / |v|.
 
     Raises:
         ZeroVector: if v is all zeros (or empty), naming it by name.
     """
-    peak = float(np.max(np.abs(v), initial=0.0))
-    if peak == 0.0:
+    w, _ = _pow2_scaled(v)
+    if not w.any():
         raise ZeroVector(f"{name} has zero length")
-    w = np.ldexp(v, -math.frexp(peak)[1])
     return w / np.linalg.norm(w)
 
 
@@ -86,7 +107,7 @@ def canonical_direction(v) -> np.ndarray:
     Raises:
         ZeroVector: if v has zero norm.
     """
-    return _canonical_signs(_unit(_as_vector(v, "direction"))[:, None])[:, 0]
+    return _canonical_signs(_unit(_as_array(v, "direction"))[:, None])[:, 0]
 
 
 @dataclass(frozen=True)
@@ -100,16 +121,12 @@ class PointSet:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=np.float64, copy=True, order="C")
-        if pts.ndim != 2:
-            raise DimensionMismatch(f"points must be a 2-d array, got shape {pts.shape}")
+        pts = _as_array(self.points, "points", (2,))
         n, d = pts.shape
         if n < 2:
             raise DegenerateInput(f"need at least 2 points, got {n}")
         if d < 2:
             raise DimensionMismatch(f"points must have dimension >= 2, got {d}")
-        if not np.all(np.isfinite(pts)):
-            raise NonFinite("points contain non-finite values")
         object.__setattr__(self, "points", _readonly(pts))
 
     @property
@@ -139,7 +156,7 @@ class ParametricLine:
     direction: np.ndarray
 
     def __post_init__(self):
-        anchor = _as_vector(self.anchor, "anchor")
+        anchor = _as_array(self.anchor, "anchor")
         direction = canonical_direction(self.direction)
         if anchor.shape != direction.shape:
             raise DimensionMismatch(
@@ -172,50 +189,44 @@ def center(points: PointSet) -> tuple[PointSet, np.ndarray]:
     Returns:
         (centered, c): the centered point set and the centroid c, the sum of
         the two pass means. centered + c reproduces the input to rounding.
+
+    Raises:
+        NonFinite: if a pass overflows float64, as coordinates near the
+            float64 maximum can, even though every input is finite.
     """
     pts = points.points
-    first = pts.mean(axis=0)
-    y = pts - first
-    shift = y.mean(axis=0)
-    return PointSet(y - shift), first + shift
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = pts.mean(axis=0)
+        y = pts - first
+        shift = y.mean(axis=0)
+        c = first + shift
+    if not np.isfinite(c).all():
+        raise NonFinite("centering the points overflows float64")
+    return PointSet(y - shift), c
 
 
 def _rejection_sq(y: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Squared norm of each row's rejection y - (y.s)s from the unit s.
 
     That is the squared orthogonal distance of each row of y from the line
-    through the origin along s. point_line_distance_sq, line_distances_sq
-    and fit_tls_line (on its centered cloud) all measure through it.
+    through the origin along s. line_distances_sq and fit_tls_line (on its
+    centered cloud) both measure through it. For unit s this equals
+    |y|^2 - (y.s)^2, but the rejection is formed without subtracting two
+    nearly equal quantities, so points close to the line come out with full
+    relative accuracy instead of cancellation noise.
     """
     r = y - (y @ s)[:, None] * s
     return np.einsum("ij,ij->i", r, r)
 
 
-def point_line_distance_sq(x, line: ParametricLine) -> float:
-    """Squared orthogonal distance from a point to a line.
-
-    Computed as the squared norm of the rejection y - (y.s)s of the offset
-    y = x - anchor from the unit direction s. For unit s this equals
-    |y|^2 - (y.s)^2, but the rejection form is evaluated without the
-    subtraction of two nearly equal quantities, so points lying close to the
-    line come out with full relative accuracy instead of cancellation noise.
-
-    Raises:
-        DimensionMismatch: if the point dimension differs from the line's.
-    """
-    p = _as_vector(x, "point")
-    if p.shape != line.anchor.shape:
-        raise DimensionMismatch(
-            f"point has dimension {p.shape[0]}, line has dimension {line.dim}"
-        )
-    return float(_rejection_sq((p - line.anchor)[None, :], line.direction)[0])
-
-
 def line_distances_sq(points: PointSet, line: ParametricLine) -> np.ndarray:
     """Squared orthogonal distance from each point to the line.
 
-    Vectorized over the rows of the point set; entries agree with
-    point_line_distance_sq on each row up to rounding in the dot products.
+    Each entry is the squared norm of the rejection y - (y.s)s of the
+    offset y = x - anchor from the unit direction s.
+
+    Raises:
+        DimensionMismatch: if the points' dimension differs from the line's.
     """
     if points.dim != line.dim:
         raise DimensionMismatch(

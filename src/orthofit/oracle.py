@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, UnsupportedDimension
-from .geometry import PointSet, _readonly, canonical_direction
+from .geometry import PointSet, _freeze, _pow2_scaled, canonical_direction
 from .solver import _check_symmetric
 
 @dataclass(frozen=True)
@@ -43,9 +43,7 @@ class GridSearchResult:
     evaluated: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "best_direction", _readonly(np.asarray(self.best_direction, dtype=np.float64))
-        )
+        _freeze(self, "best_direction")
 
 
 def _grid_directions(dim: int, resolution_deg: float) -> np.ndarray:
@@ -135,6 +133,14 @@ def cubic_eigenvalues(matrix) -> np.ndarray:
     iteration, no factorization; this is the independent check for the
     Jacobi solver's spectrum.
 
+    The roots are found for the input scaled by the power of two that
+    brings its largest entry into [0.5, 1) (geometry._pow2_scaled), and
+    scaled back, so the squares they take can neither overflow nor
+    underflow at any finite magnitude.
+    The scaling is exact: for every power of two 2^k that keeps the entries
+    and the roots normal floats, the roots of 2^k A are 2^k times those of
+    A, bit for bit.
+
     Raises:
         NotSymmetric: if the matrix is not symmetric.
         DimensionMismatch: if it is not 3x3.
@@ -142,10 +148,11 @@ def cubic_eigenvalues(matrix) -> np.ndarray:
     a = _check_symmetric(matrix)
     if a.shape != (3, 3):
         raise DimensionMismatch(f"cubic_eigenvalues needs a 3x3 matrix, got {a.shape}")
+    a, exp = _pow2_scaled(a)
 
     off_sq = a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2
     if off_sq == 0.0:
-        return np.sort(np.diag(a))[::-1].copy()
+        return np.ldexp(np.sort(np.diag(a))[::-1], exp)
 
     q = float(np.trace(a)) / 3.0
     p2 = (a[0, 0] - q) ** 2 + (a[1, 1] - q) ** 2 + (a[2, 2] - q) ** 2 + 2.0 * off_sq
@@ -158,4 +165,4 @@ def cubic_eigenvalues(matrix) -> np.ndarray:
     lam1 = q + 2.0 * p * math.cos(phi)
     lam3 = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
     lam2 = 3.0 * q - lam1 - lam3
-    return np.sort(np.array([lam1, lam2, lam3]))[::-1].copy()
+    return np.ldexp(np.sort(np.array([lam1, lam2, lam3]))[::-1], exp)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch
-from .geometry import PointSet, _as_vector, _readonly
+from .errors import DegenerateInput, DimensionMismatch, NonFinite
+from .geometry import PointSet, _as_array, _freeze, _readonly
 
 
 def cross_matrix(a) -> np.ndarray:
@@ -25,7 +25,7 @@ def cross_matrix(a) -> np.ndarray:
 
     Only defined for 3-vectors; raises DimensionMismatch otherwise.
     """
-    a = _as_vector(a, "axis")
+    a = _as_array(a, "axis")
     if a.shape != (3,):
         raise DimensionMismatch(f"cross_matrix needs a 3-vector, got dimension {a.shape[0]}")
     ax, ay, az = a
@@ -46,7 +46,7 @@ def rejection_matrix(x) -> np.ndarray:
     matrix is symmetric positive semidefinite with x in its null space; in
     three dimensions it factors as cross_matrix(x).T @ cross_matrix(x).
     """
-    x = _as_vector(x, "point")
+    x = _as_array(x, "point")
     d = x.shape[0]
     if d < 2:
         raise DimensionMismatch(f"rejection_matrix needs dimension >= 2, got {d}")
@@ -70,7 +70,7 @@ class ScatterSummary:
     n_points: int
 
     def __post_init__(self):
-        object.__setattr__(self, "scatter", _readonly(np.array(self.scatter, dtype=np.float64)))
+        _freeze(self, "scatter")
 
     @property
     def dim(self) -> int:
@@ -99,12 +99,17 @@ def accumulate_scatter(centered: PointSet) -> ScatterSummary:
     order, so the scatter is exactly symmetric.
 
     Raises:
+        NonFinite: if the moments overflow float64, as they do once the
+            cloud's spread is near the square root of the float64 maximum.
         DegenerateInput: if all points sit at the origin, which leaves every
             direction equally good.
     """
     pts = centered.points
-    total_sq_norm = float(np.sum(pts * pts))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total_sq_norm = float(np.sum(pts * pts))
+        omega = np.einsum("ij,ik->jk", pts, pts)
+    if not (np.isfinite(total_sq_norm) and np.isfinite(omega).all()):
+        raise NonFinite("the second moments overflow float64")
     if total_sq_norm <= 0.0:
         raise DegenerateInput("all points coincide; every direction fits equally well")
-    omega = np.einsum("ij,ik->jk", pts, pts)
     return ScatterSummary(total_sq_norm=total_sq_norm, scatter=omega, n_points=pts.shape[0])

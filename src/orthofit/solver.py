@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, NonFinite, NotSymmetric, ZeroVector
-from .geometry import _as_rows, _as_vector, _canonical_signs, _readonly
+from .geometry import _as_array, _canonical_signs, _freeze, _pow2_scaled
 from .scatter import ScatterSummary
 
 SYMMETRY_RTOL = 1e-10
@@ -60,11 +60,7 @@ class EigenSolution:
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "direction", _readonly(np.asarray(self.direction, dtype=np.float64)))
-        object.__setattr__(self, "spectrum", _readonly(np.asarray(self.spectrum, dtype=np.float64)))
-        object.__setattr__(
-            self, "eigenvectors", _readonly(np.asarray(self.eigenvectors, dtype=np.float64))
-        )
+        _freeze(self, "direction", "spectrum", "eigenvectors")
 
 
 def _check_symmetric(matrix) -> np.ndarray:
@@ -116,9 +112,7 @@ def dominant_eigenpair(matrix) -> EigenSolution:
         NoConvergence: if MAX_SWEEPS sweeps leave the off-diagonal norm
             above JACOBI_TOL relative to the input's Frobenius norm.
     """
-    a0 = _check_symmetric(matrix)
-    exp = math.frexp(float(np.max(np.abs(a0))))[1]
-    a0 = np.ldexp(a0, -exp)
+    a0, exp = _pow2_scaled(_check_symmetric(matrix))
     a = a0.copy()
     d = a.shape[0]
     v = np.eye(d)
@@ -194,7 +188,7 @@ def dominant_eigenpair(matrix) -> EigenSolution:
 
 def _rows_and_norms(s) -> tuple[np.ndarray, np.ndarray]:
     """Directions as (k, d) rows and their squared norms, none of them zero."""
-    vecs = _as_rows(s, "direction")
+    vecs = np.atleast_2d(_as_array(s, "direction", (1, 2)))
     ss = np.einsum("ij,ij->i", vecs, vecs)
     if not np.all(ss > 0.0):
         raise ZeroVector("direction has zero length")
@@ -228,7 +222,7 @@ def finite_diff_gradient(summary: ScatterSummary, s) -> np.ndarray:
     quadratic_objective call scores the 2d points s + h e_i and s - h e_i,
     with the fixed step h = FD_STEP.
     """
-    vec = _as_vector(s, "direction")
+    vec = _as_array(s, "direction")
     steps = FD_STEP * np.eye(vec.shape[0])
     values = quadratic_objective(summary, np.concatenate([vec + steps, vec - steps]))
     forward, backward = np.split(values, 2)

@@ -193,6 +193,24 @@ class TestFitErrors:
         assert "error: " in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["fit", "compare", "check"])
+    @pytest.mark.parametrize(
+        "text, cause",
+        [
+            ("1,2\n1e200,3\n4,5\n", "second moments"),
+            ("1.7e308,1\n1.7e308,2\n1,3\n", "centering"),
+        ],
+        ids=["moments", "centering"],
+    )
+    def test_overflow_is_one_error_line(self, command, text, cause):
+        # Finite input whose centering or second moments overflow: exit 2
+        # and a single error line naming the cause, with no RuntimeWarning.
+        proc = run_cli(command, stdin_text=text)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: ") and cause in lines[0]
+
     def test_missing_file(self):
         proc = run_cli("fit", "--input", "does-not-exist.csv")
         assert proc.returncode == 3

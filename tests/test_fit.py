@@ -17,7 +17,7 @@ from orthofit.geometry import (
     PointSet,
     canonical_direction,
     center,
-    point_line_distance_sq,
+    line_distances_sq,
 )
 
 
@@ -84,9 +84,9 @@ class TestTlsFit:
         assert result.per_point_sq.shape == (30,)
         assert np.all(result.per_point_sq >= 0.0)
         assert result.n_points == 30
-        for row, value in zip(pts, result.per_point_sq):
-            direct = point_line_distance_sq(row, result.line)
-            assert abs(value - direct) <= 1e-12 * max(direct, 1.0)
+        direct = line_distances_sq(PointSet(pts), result.line)
+        tol = 1e-12 * np.maximum(direct, 1.0)
+        assert np.all(np.abs(result.per_point_sq - direct) <= tol)
         assert result.total_sq_distance == float(np.sum(result.per_point_sq))
         total = 0.0
         for value in result.per_point_sq:
@@ -160,6 +160,21 @@ class TestTlsFit:
         assert np.max(np.abs(result.line.direction - np.sqrt(0.5))) <= 1e-12
         assert np.array_equal(result.line.anchor, np.array([1.0, 1.0]))
         assert result.total_sq_distance <= 1e-24
+
+    @pytest.mark.parametrize(
+        "rows, cause",
+        [
+            ([[1.0, 2.0], [1e200, 3.0], [4.0, 5.0]], "second moments"),
+            ([[1.7e308, 1.0], [1.7e308, 2.0], [1.0, 3.0]], "centering"),
+        ],
+        ids=["moments", "centering"],
+    )
+    def test_overflow_is_non_finite(self, rows, cause):
+        # Every coordinate is finite; the centering sum or the squares are
+        # not. Run under the suite's error::RuntimeWarning filter, a warning
+        # on the way would fail the test instead of the typed error.
+        with pytest.raises(NonFinite, match=cause):
+            fit_tls_line(PointSet(rows))
 
 
 class TestExplicitFit:

@@ -14,7 +14,6 @@ from orthofit.geometry import (
     canonical_direction,
     center,
     line_distances_sq,
-    point_line_distance_sq,
 )
 
 finite_coord = st.floats(
@@ -78,16 +77,19 @@ class TestCenter:
 class TestDistance:
     def test_unit_offset_from_axis(self):
         line = ParametricLine(np.zeros(3), np.array([1.0, 0.0, 0.0]))
-        assert point_line_distance_sq(np.array([0.0, 1.0, 0.0]), line) == 1.0
+        cloud = PointSet([[0.0, 1.0, 0.0], [5.0, 0.0, -1.0]])
+        assert line_distances_sq(cloud, line).tolist() == [1.0, 1.0]
 
     def test_point_on_line_is_numerically_zero(self):
         line = ParametricLine(np.array([1.0, 2.0, 3.0]), np.array([2.0, -1.0, 0.5]))
-        x = line.point_at(3.7)
-        assert point_line_distance_sq(x, line) <= 1e-24 * float(x @ x)
+        cloud = PointSet(np.stack([line.point_at(3.7), line.point_at(-1.2)]))
+        norms_sq = np.einsum("ij,ij->i", cloud.points, cloud.points)
+        assert np.all(line_distances_sq(cloud, line) <= 1e-24 * norms_sq)
 
     def test_three_dim_example_against_cross_product(self):
         line = ParametricLine(np.zeros(3), np.array([1.0, 0.0, 0.0]))
-        assert point_line_distance_sq(np.array([1.0, 2.0, 2.0]), line) == 8.0
+        cloud = PointSet([[1.0, 2.0, 2.0], [-3.0, 0.0, 0.0]])
+        assert line_distances_sq(cloud, line).tolist() == [8.0, 0.0]
 
     def test_matches_cross_product_form(self):
         # |s x y|^2 for unit s is an independent route to the same quantity.
@@ -95,12 +97,13 @@ class TestDistance:
         line_dir = canonical_direction(rng.standard_normal(3))
         anchor = rng.uniform(-2.0, 2.0, 3)
         line = ParametricLine(anchor, line_dir)
-        for _ in range(200):
-            x = rng.uniform(-5.0, 5.0, 3)
-            y = x - anchor
-            expected = float(np.cross(line.direction, y) @ np.cross(line.direction, y))
-            got = point_line_distance_sq(x, line)
-            assert abs(got - expected) <= 1e-10 * max(float(y @ y), 1e-30)
+        x = rng.uniform(-5.0, 5.0, (200, 3))
+        y = x - anchor
+        cross = np.cross(line.direction, y)
+        expected = np.einsum("ij,ij->i", cross, cross)
+        got = line_distances_sq(PointSet(x), line)
+        tol = 1e-10 * np.maximum(np.einsum("ij,ij->i", y, y), 1e-30)
+        assert np.all(np.abs(got - expected) <= tol)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(11)
@@ -108,14 +111,15 @@ class TestDistance:
             d = int(rng.integers(2, 6))
             direction = rng.standard_normal(d)
             anchor = rng.uniform(-2.0, 2.0, d)
-            x = rng.uniform(-5.0, 5.0, d)
+            x = rng.uniform(-5.0, 5.0, (4, d))
             shift = rng.uniform(-100.0, 100.0, d)
-            base = point_line_distance_sq(x, ParametricLine(anchor, direction))
-            moved = point_line_distance_sq(
-                x + shift, ParametricLine(anchor + shift, direction)
+            base = line_distances_sq(PointSet(x), ParametricLine(anchor, direction))
+            moved = line_distances_sq(
+                PointSet(x + shift), ParametricLine(anchor + shift, direction)
             )
-            scale = max(base, float((x - anchor) @ (x - anchor)), 1.0)
-            assert abs(base - moved) <= 1e-9 * scale
+            offsets_sq = np.einsum("ij,ij->i", x - anchor, x - anchor)
+            scale = np.maximum(np.maximum(base, offsets_sq), 1.0)
+            assert np.all(np.abs(base - moved) <= 1e-9 * scale)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(13)
@@ -124,29 +128,31 @@ class TestDistance:
             q, _ = np.linalg.qr(rng.standard_normal((d, d)))
             direction = rng.standard_normal(d)
             anchor = rng.uniform(-2.0, 2.0, d)
-            x = rng.uniform(-5.0, 5.0, d)
-            base = point_line_distance_sq(x, ParametricLine(anchor, direction))
-            rotated = point_line_distance_sq(
-                q @ x, ParametricLine(q @ anchor, q @ direction)
+            x = rng.uniform(-5.0, 5.0, (4, d))
+            base = line_distances_sq(PointSet(x), ParametricLine(anchor, direction))
+            rotated = line_distances_sq(
+                PointSet(x @ q.T), ParametricLine(q @ anchor, q @ direction)
             )
-            assert abs(base - rotated) <= 1e-10 * max(base, 1.0)
+            assert np.all(np.abs(base - rotated) <= 1e-10 * np.maximum(base, 1.0))
 
     def test_batched_matches_scalar(self):
+        # A row's distance does not depend on the cloud it is measured in:
+        # the whole cloud agrees with each row measured in a two-row cloud.
         rng = np.random.default_rng(3)
         pts = PointSet(rng.uniform(-4.0, 4.0, (40, 4)))
         line = ParametricLine(rng.uniform(-1.0, 1.0, 4), rng.standard_normal(4))
         batched = line_distances_sq(pts, line)
         for row, value in zip(pts.points, batched):
-            assert abs(value - point_line_distance_sq(row, line)) <= 1e-12 * max(
-                value, 1.0
-            )
+            alone = line_distances_sq(PointSet([row, line.anchor]), line)
+            assert abs(value - alone[0]) <= 1e-12 * max(value, 1.0)
+            assert alone[1] == 0.0
 
     def test_dimension_mismatch_raises(self):
         line = ParametricLine(np.zeros(3), np.array([1.0, 0.0, 0.0]))
         with pytest.raises(DimensionMismatch):
-            point_line_distance_sq(np.array([1.0, 2.0]), line)
-        with pytest.raises(DimensionMismatch):
             line_distances_sq(PointSet(np.zeros((3, 2)) + [[1, 2], [3, 4], [5, 6]]), line)
+        with pytest.raises(DimensionMismatch):
+            line_distances_sq(PointSet(np.ones((2, 4))), line)
 
 
 class TestCanonicalDirection:

@@ -214,6 +214,18 @@ class TestCubicEigenvalues:
             lam = cubic_eigenvalues(m + m.T)
             assert lam[0] >= lam[1] >= lam[2]
 
+    def test_powers_of_two_scale_exactly(self):
+        # The roots are found for the input scaled into [0.5, 1) by a power
+        # of two, so 2^k A has exactly 2^k times the roots of A.
+        for a in (
+            np.array([[4.0, 1.0, -0.5], [1.0, 3.0, 0.25], [-0.5, 0.25, 1.0]]),
+            np.diag([3.0, 1.0, 2.0]),
+        ):
+            base = cubic_eigenvalues(a)
+            for k in range(-1000, 1001):
+                got = cubic_eigenvalues(np.ldexp(a, k))
+                assert got.tobytes() == np.ldexp(base, k).tobytes(), k
+
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
             cubic_eigenvalues(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from conftest import angle_between
 
+from orthofit import cli
 from orthofit.fit import fit_tls_line
 from orthofit.geometry import PointSet
 
@@ -55,3 +56,24 @@ def test_power_of_two_scales_are_exact(unscaled):
         assert np.array_equal(result.eigen.spectrum, np.ldexp(base.eigen.spectrum, 2 * k)), k
         residual = np.ldexp(base.eigen.stationarity_residual, 2 * k)
         assert result.eigen.stationarity_residual == residual, k
+
+
+def test_check_holds_across_the_fit_scale_range(tmp_path, capsys):
+    # Every check passes, with no floating-point warning, on one cloud
+    # scaled by 2^k across the fit's range; the scale-free stationarity-forms
+    # ratio reads the same at every k.
+    base_file = tmp_path / "base.csv"
+    gen = ["gen", "--n", "200", "--dim", "3", "--sigma", "0.1", "--seed", "1"]
+    assert cli.main([*gen, "--output", str(base_file)]) == 0
+    base = cli.parse_points_text(base_file.read_text().splitlines()).points
+    cloud = tmp_path / "cloud.csv"
+    forms = set()
+    for k in range(-480, 481, 8):
+        rows = np.ldexp(base, k).tolist()
+        cloud.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["check", "--input", str(cloud)]) == 0, k
+        report = capsys.readouterr().out.splitlines()
+        forms.update(line.split()[2] for line in report if " stationarity-forms " in line)
+    assert len(forms) == 1, forms

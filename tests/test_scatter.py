@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthofit.errors import DegenerateInput, DimensionMismatch
-from orthofit.geometry import ParametricLine, PointSet, point_line_distance_sq
+from orthofit.geometry import ParametricLine, PointSet, line_distances_sq
 from orthofit.scatter import (
     ScatterSummary,
     accumulate_scatter,
@@ -93,14 +93,13 @@ class TestRejectionMatrix:
         rng = np.random.default_rng(13)
         for _ in range(100):
             d = int(rng.integers(2, 6))
-            x = rng.uniform(-3.0, 3.0, d)
+            x = rng.uniform(-3.0, 3.0, (3, d))
             s = rng.standard_normal(d)
             s /= np.linalg.norm(s)
             line = ParametricLine(np.zeros(d), s)
-            form = float(s @ (rejection_matrix(x) @ s))
-            assert abs(form - point_line_distance_sq(x, line)) <= 1e-10 * max(
-                float(x @ x), 1.0
-            )
+            forms = [float(s @ (rejection_matrix(row) @ s)) for row in x]
+            tol = 1e-10 * np.maximum(np.einsum("ij,ij->i", x, x), 1.0)
+            assert np.all(np.abs(forms - line_distances_sq(PointSet(x), line)) <= tol)
 
     def test_rejects_one_dimensional_input(self):
         with pytest.raises(DimensionMismatch):
