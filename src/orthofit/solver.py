@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NonFinite, NotSymmetric, ZeroVector
+from .errors import NoConvergence, NotSymmetric, ZeroVector
 from .geometry import _as_array, _canonical_signs, _freeze, _pow2_scaled
 from .scatter import ScatterSummary
 
@@ -64,11 +64,9 @@ class EigenSolution:
 
 
 def _check_symmetric(matrix) -> np.ndarray:
-    a = np.array(matrix, dtype=np.float64, copy=True)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = _as_array(matrix, "matrix", (2,))
+    if a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NonFinite("matrix contains non-finite values")
     scale = float(np.max(np.abs(a)))
     skew = float(np.max(np.abs(a - a.T)))
     if skew > SYMMETRY_RTOL * max(scale, np.finfo(np.float64).tiny):
@@ -94,6 +92,13 @@ def dominant_eigenpair(matrix) -> EigenSolution:
     iteration has no settings: it stops at JACOBI_TOL and gives up after
     MAX_SWEEPS sweeps.
 
+    The matrix and its eigenvectors are one (2d, d) array, the matrix on
+    top and the accumulated rotations below, so a rotation turns columns p
+    and q of both at once: two elementwise column updates, no matrix
+    product and no loop over entries. Rows p and q of the matrix are then
+    copied from its new columns, and the two diagonal entries and the
+    annihilated pair set by the closed-form update.
+
     Everything runs on the input scaled by the power of two that brings its
     largest entry into [0.5, 1): the rotations, the stopping norms, the
     Rayleigh quotient and the residual. The scaling is exact, so at
@@ -108,16 +113,17 @@ def dominant_eigenpair(matrix) -> EigenSolution:
             symmetrized exactly before iterating).
 
     Raises:
+        DimensionMismatch: if the input is not a 2-d array.
+        NonFinite: if an entry is NaN or infinite.
         NotSymmetric: if the input is not square or not symmetric.
         NoConvergence: if MAX_SWEEPS sweeps leave the off-diagonal norm
             above JACOBI_TOL relative to the input's Frobenius norm.
     """
     a0, exp = _pow2_scaled(_check_symmetric(matrix))
-    a = a0.copy()
-    d = a.shape[0]
-    v = np.eye(d)
-    fro = float(np.linalg.norm(a))
-    threshold = JACOBI_TOL * fro
+    d = a0.shape[0]
+    av = np.concatenate([a0, np.eye(d)])
+    a, v = av[:d], av[d:]
+    threshold = JACOBI_TOL * float(np.linalg.norm(a0))
 
     for _ in range(MAX_SWEEPS):
         if _off_diag_norm(a) <= threshold:
@@ -142,19 +148,12 @@ def dominant_eigenpair(matrix) -> EigenSolution:
                 s = t * c
 
                 app, aqq = a[p, p], a[q, q]
+                x, y = av[:, p], av[:, q]
+                av[:, p], av[:, q] = c * x - s * y, s * x + c * y
+                a[p], a[q] = a[:, p], a[:, q]
                 a[p, p] = app - t * apq
                 a[q, q] = aqq + t * apq
                 a[p, q] = a[q, p] = 0.0
-                for k in range(d):
-                    if k == p or k == q:
-                        continue
-                    akp, akq = a[k, p], a[k, q]
-                    a[k, p] = a[p, k] = c * akp - s * akq
-                    a[k, q] = a[q, k] = s * akp + c * akq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
     if _off_diag_norm(a) > threshold:
         raise NoConvergence(
             f"off-diagonal norm {math.ldexp(_off_diag_norm(a), exp):g} still above "

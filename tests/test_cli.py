@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -549,13 +550,13 @@ class TestBlasThreads:
         # Every sum over points is a numpy reduction or an einsum, so no
         # output may depend on how many threads the BLAS has. The wide
         # files are where a BLAS matrix product for the scatter would split
-        # its sums over threads; d = 100 is the slow one (~5 s per fit).
+        # its sums over threads; d = 200 is the slow one (~3 s per fit).
         cloud = tmp_path / "big.csv"
         assert cli.main(
             ["gen", "--output", str(cloud), "--n", "20000", "--dim", "3", "--seed", "5"]
         ) == 0
         wide = []
-        for dim in ("12", "100"):
+        for dim in ("12", "100", "200"):
             path = tmp_path / f"d{dim}.csv"
             argv = ["gen", "--output", str(path), "--n", "500", "--dim", dim, "--seed", "3"]
             assert cli.main([*argv, "--sigma", "0.3"]) == 0
@@ -619,6 +620,54 @@ class TestCheckCommand:
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: --resolution-deg")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "gen",
+        [
+            ["--n", "50", "--dim", "2", "--sigma", "0"],
+            ["--n", "50", "--dim", "3", "--sigma", "0"],
+            ["--n", "300", "--dim", "3", "--sigma", "1e-6", "--anchor", "1e6,1e6,1e6"],
+            ["--n", "300", "--dim", "3", "--sigma", "1e-6", "--anchor", "1e9,1e9,1e9"],
+        ],
+    )
+    def test_stationarity_forms_pass_on_valid_clouds(self, tmp_path, capsys, gen):
+        # Exactly collinear clouds (whose first probe is an eigenvector) and
+        # near-collinear clouds far from the origin: the two forms' gap is
+        # rounding, small against the cloud's bound xi |s|^3.
+        cloud = tmp_path / "cloud.csv"
+        assert cli.main(["gen", *gen, "--output", str(cloud)]) == 0
+        assert cli.main(["check", "--input", str(cloud)]) == 0
+        report = capsys.readouterr().out
+        assert "PASS stationarity-forms" in report, report
+
+    @staticmethod
+    def _sign_flip(summary, s):
+        form_c, form_s = solver.stationarity_forms(summary, s)
+        return form_c, -form_s
+
+    @staticmethod
+    def _dropped_term(summary, s):
+        form_c, _ = solver.stationarity_forms(summary, s)
+        ss = np.einsum("ij,ij->i", s, s)
+        return form_c, -ss[:, None] * np.einsum("jk,ik->ij", summary.scatter, s)
+
+    @staticmethod
+    def _perturbed_scatter(summary, s):
+        form_c, _ = solver.stationarity_forms(summary, s)
+        bent = dataclasses.replace(summary, scatter=summary.scatter * (1.0 + 1e-6))
+        return form_c, solver.stationarity_forms(bent, s)[1]
+
+    @pytest.mark.parametrize("defect", ["_sign_flip", "_dropped_term", "_perturbed_scatter"])
+    def test_stationarity_forms_catch_planted_defects(
+        self, tmp_path, capsys, monkeypatch, defect
+    ):
+        cloud = tmp_path / "cloud.csv"
+        gen = ["gen", "--n", "100", "--dim", "3", "--sigma", "0.1", "--seed", "4"]
+        assert cli.main([*gen, "--output", str(cloud)]) == 0
+        monkeypatch.setattr(cli, "stationarity_forms", getattr(self, defect))
+        assert cli.main(["check", "--input", str(cloud)]) == 1
+        report = capsys.readouterr().out
+        assert "FAIL stationarity-forms" in report, report
 
 
 class TestReadmeMatchesParser:
