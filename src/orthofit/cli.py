@@ -10,8 +10,8 @@ Four subcommands:
 All output is deterministic: the same invocation on the same input produces
 byte-identical bytes. Exit codes: 0 success, 1 a check reported FAIL or
 an invariant of the fit was violated, 2 degenerate input, a non-finite
-intermediate result or a rank-deficient explicit fit, 3 unreadable input,
-4 solver non-convergence.
+intermediate result or a rank-deficient explicit fit, 3 unreadable input
+or a request too large to allocate, 4 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ import json
 import math
 import sys
 from itertools import chain, islice
-from typing import NoReturn
 
 import numpy as np
 
 from .errors import (
     DegenerateInput,
+    DimensionMismatch,
     InvariantViolation,
     NoConvergence,
     NonFinite,
@@ -36,12 +36,13 @@ from .errors import (
     ParseError,
 )
 from .fit import (
+    _dependent_index,
     fit_lse_explicit,
     fit_tls_line,
     total_orthogonal_distance,
     vertical_residual_sq,
 )
-from .geometry import PointSet, _pow2_scaled, _unit, line_distances_sq
+from .geometry import PointSet, _pow2_scaled, _rejection_sq, _unit, line_distances_sq
 from .oracle import cubic_eigenvalues, grid_search_direction
 from .solver import (
     finite_diff_gradient,
@@ -64,18 +65,6 @@ def _repr_vec(v) -> str:
     return ",".join(_repr_num(c) for c in v)
 
 
-def _angle_rad(u, v) -> float:
-    """Angle between two unit directions, ignoring sign."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    dot = float(u @ v)
-    if dot < 0.0:
-        v = -v
-        dot = -dot
-    rejection = u - dot * v
-    return math.atan2(float(np.linalg.norm(rejection)), dot)
-
-
 def parse_points_text(lines) -> PointSet:
     """Parse point-cloud text: one point per line, commas or whitespace.
 
@@ -83,8 +72,8 @@ def parse_points_text(lines) -> PointSet:
     set by the first data row; every later row must match it.
 
     The lines are read in blocks of _PARSE_BLOCK. Each block's kept lines
-    are split into rows, checked for a common column count, and converted
-    in one pass of Python's float() into a numpy array, so the accepted
+    are split into rows, checked against the dimension, and converted in
+    one pass of Python's float() into a numpy array, so the accepted
     tokens and their values are exactly those of a per-token float().
     A block that fails any check is walked again line by line to raise
     the error, so every message and line number is the same as a
@@ -105,12 +94,8 @@ def parse_points_text(lines) -> PointSet:
             s.replace(",", " ").split() for s in stripped if s and not s.startswith("#")
         ]
         if rows:
-            width = len(rows[0]) if dim is None else dim
-            values = _convert_block(rows, width)
-            if values is None:
-                _raise_block_error(stripped, first_lineno, dim)
-            dim = width
-            blocks.append(values)
+            dim = dim or len(rows[0])
+            blocks.append(_convert_block(rows, dim, stripped, first_lineno))
         first_lineno += len(block)
     n_rows = sum(len(b) for b in blocks)
     if n_rows == 0:
@@ -120,25 +105,25 @@ def parse_points_text(lines) -> PointSet:
     return PointSet(np.concatenate(blocks))
 
 
-def _convert_block(rows: list[list[str]], width: int) -> np.ndarray | None:
-    """The rows as a (len(rows), width) array, or None when a row has
-    another width, width is below 2, or a token is not a finite float."""
-    if width < 2 or any(len(row) != width for row in rows):
-        return None
-    try:
-        values = np.fromiter(
-            map(float, chain.from_iterable(rows)), np.float64, len(rows) * width
-        )
-    except ValueError:
-        return None
-    if not np.isfinite(values).all():
-        return None
-    return values.reshape(len(rows), width)
+def _convert_block(
+    rows: list[list[str]], width: int, stripped: list[str], first_lineno: int
+) -> np.ndarray:
+    """The rows as a (len(rows), width) array.
 
-
-def _raise_block_error(stripped, first_lineno: int, dim: int | None) -> NoReturn:
-    """Raise the first error in a block of stripped lines that failed
-    conversion, line by line, naming its line in the whole input."""
+    When width is below 2, a row has another width, or a token is not a
+    finite float, the block's stripped lines are walked instead, and the
+    first error is raised with its line number in the whole input.
+    """
+    if width >= 2 and all(len(row) == width for row in rows):
+        try:
+            values = np.fromiter(
+                map(float, chain.from_iterable(rows)), np.float64, len(rows) * width
+            )
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(values).all():
+                return values.reshape(len(rows), width)
     for lineno, line in enumerate(stripped, start=first_lineno):
         if not line or line.startswith("#"):
             continue
@@ -151,14 +136,12 @@ def _raise_block_error(stripped, first_lineno: int, dim: int | None) -> NoReturn
             if not math.isfinite(value):
                 raise ParseError(f"line {lineno}: non-finite value {token!r}")
             count += 1
-        if dim is None:
-            if count < 2:
-                raise ParseError(
-                    f"line {lineno}: points need at least 2 coordinates, got {count}"
-                )
-            dim = count
-        elif count != dim:
-            raise ParseError(f"line {lineno}: expected {dim} coordinates, got {count}")
+        if count != width:
+            raise ParseError(f"line {lineno}: expected {width} coordinates, got {count}")
+        if count < 2:
+            raise ParseError(
+                f"line {lineno}: points need at least 2 coordinates, got {count}"
+            )
     raise AssertionError("a block failed conversion but every line parses")
 
 
@@ -186,13 +169,15 @@ def _write_output(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _parse_vector_flag(text: str, name: str) -> np.ndarray:
+def _parse_vector_flag(text: str, name: str, dim: int) -> np.ndarray:
     try:
         values = [float(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
         raise ParseError(f"{name}: could not parse {text!r} as numbers") from None
     if not values or not all(math.isfinite(v) for v in values):
         raise ParseError(f"{name}: expected finite numbers, got {text!r}")
+    if len(values) != dim:
+        raise ParseError(f"{name} has {len(values)} components, --dim is {dim}")
     return np.array(values, dtype=np.float64)
 
 
@@ -272,11 +257,7 @@ def cmd_gen(args) -> int:
 
     rng = np.random.default_rng(args.seed)
     if args.direction is not None:
-        raw = _parse_vector_flag(args.direction, "--direction")
-        if raw.shape[0] != args.dim:
-            raise ParseError(
-                f"--direction has {raw.shape[0]} components, --dim is {args.dim}"
-            )
+        raw = _parse_vector_flag(args.direction, "--direction", args.dim)
     else:
         raw = rng.standard_normal(args.dim)
         while not raw.any():
@@ -284,11 +265,7 @@ def cmd_gen(args) -> int:
     direction = _unit(raw, "--direction")
 
     if args.anchor is not None:
-        anchor = _parse_vector_flag(args.anchor, "--anchor")
-        if anchor.shape[0] != args.dim:
-            raise ParseError(
-                f"--anchor has {anchor.shape[0]} components, --dim is {args.dim}"
-            )
+        anchor = _parse_vector_flag(args.anchor, "--anchor", args.dim)
     else:
         anchor = np.zeros(args.dim)
 
@@ -317,10 +294,10 @@ def cmd_gen(args) -> int:
 
 def cmd_compare(args) -> int:
     points = _read_points(args.input)
-    if not (-points.dim <= args.dependent_col < points.dim):
-        raise ParseError(
-            f"dependent_col {args.dependent_col} out of range for dimension {points.dim}"
-        )
+    try:
+        _dependent_index(points.dim, args.dependent_col)
+    except DimensionMismatch as exc:
+        raise ParseError(str(exc)) from None
     tls = fit_tls_line(points)
     tls_vertical = vertical_residual_sq(points, tls.line, args.dependent_col)
     doc: dict = {"tls": {**_fit_document(tls), "vertical_residual_sq": tls_vertical}}
@@ -475,16 +452,15 @@ def cmd_check(args) -> int:
                 ("SKIP", "grid-direction", "(dominant direction is ambiguous)")
             )
         else:
-            angle_deg = math.degrees(_angle_rad(direction, grid.best_direction))
+            rejection_sq = _rejection_sq(direction[None], grid.best_direction)[0]
+            dot = abs(float(direction @ grid.best_direction))
+            angle_deg = math.degrees(math.atan2(math.sqrt(rejection_sq), dot))
             tol_deg = max(0.5, 2.0 * args.resolution_deg)
             report.append(_verdict("grid-direction", angle_deg, tol_deg))
     else:
-        report.append(
-            ("SKIP", "grid-agreement", f"(grid oracle covers dim <= 3, input is {points.dim})")
-        )
-        report.append(
-            ("SKIP", "grid-direction", f"(grid oracle covers dim <= 3, input is {points.dim})")
-        )
+        reason = f"(grid oracle covers dim <= 3, input is {points.dim})"
+        report.append(("SKIP", "grid-agreement", reason))
+        report.append(("SKIP", "grid-direction", reason))
 
     if points.dim == 3:
         closed_form = cubic_eigenvalues(moments.scatter)
@@ -618,6 +594,7 @@ _EXIT_CODES = (
     (InvariantViolation, 1),
     (OrthofitError, 2),
     (OSError, 3),
+    (MemoryError, 3),
 )
 
 
@@ -625,7 +602,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OrthofitError, OSError) as exc:
+    except (OrthofitError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 

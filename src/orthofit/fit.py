@@ -134,6 +134,18 @@ def total_orthogonal_distance(points: PointSet, line: ParametricLine) -> float:
     return float(np.sum(line_distances_sq(points, line)))
 
 
+def _dependent_index(d: int, col: int) -> int:
+    """The dependent column col as an index into d coordinates; a negative
+    col counts from the end.
+
+    Raises:
+        DimensionMismatch: if col is outside [-d, d).
+    """
+    if not (-d <= col < d):
+        raise DimensionMismatch(f"dependent_col {col} out of range for dimension {d}")
+    return col % d
+
+
 def fit_lse_explicit(points: PointSet, dependent_col: int = -1) -> ExplicitFitResult:
     """Classical least squares for the explicit form y = w . x + b.
 
@@ -152,31 +164,39 @@ def fit_lse_explicit(points: PointSet, dependent_col: int = -1) -> ExplicitFitRe
     first independent axis is used. Both fits anchor at the centroid, so in
     any dimension the line moves with the cloud under translation.
 
+    The rank of the centered independent coordinates is the smaller of
+    lstsq's rank and the number of their singular values above
+    eps * max|x| * sqrt(n (d - 1)), with max|x| taken over the stored
+    independent coordinates: that is the norm of the rounding those
+    coordinates carry, so an exactly collinear cloud stored far from the
+    origin is rank deficient just as it is at the origin.
+
     Args:
         points: the cloud; needs at least dim points for a full-rank system.
         dependent_col: which coordinate plays the role of y. Negative
             indices count from the end; the default is the last column.
 
     Raises:
-        RankDeficient: if the rank of the centered independent coordinates
-            is below d - 1 (for example when they all coincide, i.e. a
-            vertical line, or when there are fewer than d points).
+        RankDeficient: if that rank is below d - 1 (for example when the
+            independent coordinates all coincide, i.e. a vertical line,
+            when the cloud is exactly collinear in d >= 3, or when there
+            are fewer than d points).
         DimensionMismatch: if dependent_col is out of range.
         NonFinite: if the residual or the offset overflows float64 (a cloud
             whose coordinates are near 2^1000, say).
     """
     d = points.dim
-    if not (-d <= dependent_col < d):
-        raise DimensionMismatch(
-            f"dependent_col {dependent_col} out of range for dimension {d}"
-        )
-    dep = dependent_col % d
+    dep = _dependent_index(d, dependent_col)
 
     keep = [j for j in range(d) if j != dep]
     centered, c = center(points)
     x = centered.points[:, keep]
     y = centered.points[:, dep]
-    w, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
+    w, _, rank, sv = np.linalg.lstsq(x, y, rcond=None)
+    # The stored independent coordinates are each rounded by up to
+    # eps max|x|; singular values within that rounding's norm are not rank.
+    floor = np.finfo(np.float64).eps * np.max(np.abs(points.points[:, keep]))
+    rank = min(rank, int(np.count_nonzero(sv > floor * np.sqrt(x.size))))
     if rank < d - 1:
         raise RankDeficient(f"independent coordinates have rank {rank}, need {d - 1}")
 
@@ -212,11 +232,7 @@ def vertical_residual_sq(
         raise DimensionMismatch(
             f"points have dimension {d}, line has dimension {line.dim}"
         )
-    if not (-d <= dependent_col < d):
-        raise DimensionMismatch(
-            f"dependent_col {dependent_col} out of range for dimension {d}"
-        )
-    dep = dependent_col % d
+    dep = _dependent_index(d, dependent_col)
     keep = [j for j in range(d) if j != dep]
 
     s_ind = line.direction[keep]

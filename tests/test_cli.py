@@ -337,6 +337,30 @@ class TestGenCommand:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--direction", "1,2"], "--direction has 2 components, --dim is 3"),
+            (["--anchor", "1,2"], "--anchor has 2 components, --dim is 3"),
+            (["--direction", "abc"], "--direction: could not parse 'abc' as numbers"),
+            (["--anchor", "nan,0,0"], "--anchor: expected finite numbers, got 'nan,0,0'"),
+        ],
+    )
+    def test_bad_vector_flag_is_one_error_line(self, capsys, flags, message):
+        assert cli.main(["gen", *flags]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_unallocatable_request_is_one_error_line(self, capsys):
+        # numpy refuses this 7.1 PiB request before it touches any memory.
+        assert cli.main(["gen", "--n", "1000000000000000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("error: Unable to allocate")
+
     def test_overflowing_direction_is_normalized(self, capsys):
         assert cli.main(["gen", "--n", "5", "--direction", "1e308,1e308,0"]) == 0
         captured = capsys.readouterr()
@@ -405,6 +429,20 @@ class TestCompareCommand:
         assert "error" in doc["lse"]
         assert doc["tls"]["total_sq_distance"] <= 1e-24
 
+    @pytest.mark.parametrize("anchor", ["1e3", "1e6", "1e9"])
+    def test_collinear_3d_far_from_origin_reports_lse_error(self, tmp_path, capsys, anchor):
+        # The rounding of the stored coordinates must not pass for rank:
+        # exactly collinear data is rank deficient wherever it lies.
+        cloud = tmp_path / "collinear.csv"
+        for seed in range(5):
+            assert cli.main([
+                "gen", "--output", str(cloud), "--n", "300", "--dim", "3", "--sigma", "0",
+                "--seed", str(seed), "--anchor", ",".join([anchor] * 3),
+            ]) == 0
+            assert cli.main(["compare", "--input", str(cloud), "--format", "json"]) == 2
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["lse"] == {"error": "independent coordinates have rank 1, need 2"}
+
     def test_cloud_at_offset_1e6(self, tmp_path, capsys):
         for seed in range(10):
             lse = []
@@ -451,7 +489,9 @@ class TestCompareCommand:
         assert doc["lse"]["dependent_col"] == 0
         assert abs(doc["lse"]["coefficients"][0] - 2.0) <= 1e-9
 
-    @pytest.mark.parametrize("col, code", [("3", 3), ("-4", 3), ("-3", 0), ("2", 0)])
+    @pytest.mark.parametrize(
+        "col, code", [("3", 3), ("-4", 3), ("7", 3), ("-9", 3), ("-3", 0), ("2", 0)]
+    )
     def test_dependent_col_range(self, noisy_cloud, capsys, col, code):
         # An out-of-range column is a bad flag, reported before any fit.
         argv = ["compare", "--input", str(noisy_cloud), "--dependent-col", col]
