@@ -44,6 +44,7 @@ from .fit import (
 )
 from .geometry import PointSet, _pow2_scaled, _rejection_sq, _unit, line_distances_sq
 from .oracle import cubic_eigenvalues, grid_search_direction
+from .scatter import ScatterSummary
 from .solver import (
     finite_diff_gradient,
     quadratic_objective,
@@ -402,6 +403,12 @@ def cmd_check(args) -> int:
     direction = result.line.direction
     cloud_scale = moments.total_sq_norm
     rng = np.random.default_rng(args.seed)
+    # The diagnostics read one copy of the moments, scaled by the power of
+    # two that brings the scatter's largest entry into [0.5, 1) (the
+    # solver's rule), so none of their products or norms can overflow or
+    # underflow at any cloud scale; measured values are scaled back.
+    scatter, exp = _pow2_scaled(moments.scatter)
+    scaled = ScatterSummary(math.ldexp(cloud_scale, -exp), scatter, moments.n_points)
 
     report: list[tuple[str, str, str]] = []
 
@@ -409,9 +416,7 @@ def cmd_check(args) -> int:
     tol = 1e-8 * cloud_scale
     report.append(_verdict("stationarity-residual", measured, tol))
 
-    # Norms are taken of power-of-two-scaled arrays (the solver's rule), so
-    # their squares neither overflow nor underflow at any cloud scale.
-    gradient, exp = _pow2_scaled(finite_diff_gradient(moments, direction))
+    gradient = finite_diff_gradient(scaled, direction)
     measured = math.ldexp(float(np.linalg.norm(gradient)), exp)
     tol = 1e-6 * cloud_scale
     report.append(_verdict("gradient-norm", measured, tol))
@@ -420,14 +425,14 @@ def cmd_check(args) -> int:
     # xi |s|^3 that |C|, |O| <= xi put on both, not against the forms
     # themselves, which vanish near an eigenvector.
     probes = rng.standard_normal((50, points.dim))
-    forms, exp = _pow2_scaled(np.stack(stationarity_forms(moments, probes)))
-    bound = math.ldexp(cloud_scale, -exp) * np.linalg.norm(probes, axis=1) ** 3
+    forms = np.stack(stationarity_forms(scaled, probes))
+    bound = scaled.total_sq_norm * np.linalg.norm(probes, axis=1) ** 3
     worst = float(np.max(np.linalg.norm(forms[0] - forms[1], axis=1) / bound))
     report.append(_verdict("stationarity-forms", worst, 1e-9))
 
     routes = [
         result.total_sq_distance,
-        quadratic_objective(moments, direction),
+        math.ldexp(quadratic_objective(scaled, direction), exp),
         moments.total_sq_norm - result.eigen.rayleigh,
     ]
     measured = max(abs(a - b) for a in routes for b in routes)

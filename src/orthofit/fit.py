@@ -29,7 +29,7 @@ from .geometry import (
 from .scatter import ScatterSummary, accumulate_scatter
 from .solver import EigenSolution, dominant_eigenpair
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LineFitResult:
     """Outcome of an orthogonal-distance line fit.
 
@@ -59,7 +59,7 @@ class LineFitResult:
         return self.moments.n_points
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExplicitFitResult:
     """Outcome of a classical explicit-form fit y = w . x + b.
 

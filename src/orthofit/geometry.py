@@ -1,5 +1,9 @@
 """Points, parametric lines, centering, and orthogonal point-to-line distance.
 
+Also the library's array rules: one validator for arrays coming in, one
+freeze for arrays going out, and one power-of-two scaling, which every
+quadratic form passes before anything is squared or summed.
+
 All vectors are float64 numpy arrays. A line is stored in parametric form
 (anchor point plus unit direction); the direction's sign is canonicalized so
 that directions from different fits can be compared directly.
@@ -12,10 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch, NonFinite, ZeroVector
+from .errors import DegenerateInput, DimensionMismatch, NonFinite, NotSymmetric, ZeroVector
 
 # A component must exceed this magnitude to anchor the canonical sign choice.
 SIGN_EPS = 1e-12
+# _symmetric_scaled accepts a matrix whose largest |A - A^T| is at most this
+# fraction of its largest |A|.
+SYMMETRY_RTOL = 1e-10
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -77,6 +84,58 @@ def _pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(a, -exp), exp
 
 
+def _symmetric_scaled(matrix) -> tuple[np.ndarray, int]:
+    """A square symmetric matrix scaled by _pow2_scaled and symmetrized:
+    the one gate every eigensolver's input passes.
+
+    In order: the matrix is validated (_as_array, 2-d and finite, then
+    square), scaled by the power of two that brings its largest entry into
+    [0.5, 1), checked for max|A - A^T| <= SYMMETRY_RTOL * max|A| on the
+    scaled copy, and symmetrized as (A + A^T) / 2. Nothing is added or
+    squared before the scaling, so no step can overflow or underflow at any
+    finite magnitude; the scaling is exact, so at ordinary magnitudes the
+    result is the unscaled symmetrized matrix times the power of two.
+
+    Returns:
+        (a, exp): the scaled symmetric matrix and the exponent; the input's
+        symmetric part is ldexp(a, exp).
+
+    Raises:
+        DimensionMismatch: if the input is not a 2-d array.
+        NonFinite: if an entry is NaN or infinite.
+        NotSymmetric: if the input is not square or not symmetric; the
+            message gives the unscaled max|A - A^T| and max|A|.
+    """
+    a = _as_array(matrix, "matrix", (2,))
+    if a.shape[0] != a.shape[1]:
+        raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
+    a, exp = _pow2_scaled(a)
+    scale = float(np.max(np.abs(a)))
+    skew = float(np.max(np.abs(a - a.T)))
+    if skew > SYMMETRY_RTOL * scale:
+        with np.errstate(over="ignore"):
+            skew, scale = np.ldexp([skew, scale], exp)
+        raise NotSymmetric(
+            f"matrix is not symmetric: max |A - A^T| = {skew:g} at scale {scale:g}"
+        )
+    return 0.5 * (a + a.T), exp
+
+
+def _pow2_restored(a, exp: int) -> np.ndarray:
+    """Eigenvalues found for a matrix from _symmetric_scaled, scaled back
+    by 2^exp (exact wherever the result is a normal float).
+
+    Raises:
+        NonFinite: if a value leaves the float64 range, as the eigenvalues
+            of a finite matrix with entries near the float64 maximum can.
+    """
+    with np.errstate(over="ignore"):
+        back = np.ldexp(a, exp)
+    if not np.isfinite(back).all():
+        raise NonFinite("the eigenvalues exceed the float64 range")
+    return back
+
+
 def _unit(v: np.ndarray, name: str = "direction") -> np.ndarray:
     """v divided by its Euclidean norm, at any finite magnitude.
 
@@ -110,7 +169,7 @@ def canonical_direction(v) -> np.ndarray:
     return _canonical_signs(_unit(_as_array(v, "direction"))[:, None])[:, 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
     """An immutable (n, d) cloud of points in d-dimensional space.
 
@@ -137,7 +196,7 @@ class PointSet:
         return self.points.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParametricLine:
     """A line given by an anchor point and a unit direction.
 

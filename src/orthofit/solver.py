@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotSymmetric, ZeroVector
-from .geometry import _as_array, _canonical_signs, _freeze, _pow2_scaled
+from .errors import NoConvergence, ZeroVector
+from .geometry import _as_array, _canonical_signs, _freeze, _pow2_restored, _symmetric_scaled
 from .scatter import ScatterSummary
 
-SYMMETRY_RTOL = 1e-10
 # Relative gap (lam1 - lam2) / |lam1| below which the dominant eigenvector
 # is flagged as ambiguous.
 AMBIGUITY_GAP = 1e-8
@@ -36,7 +35,7 @@ MAX_SWEEPS = 64
 FD_STEP = 1e-5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenSolution:
     """Full spectrum of a symmetric matrix plus the dominant direction.
 
@@ -63,19 +62,6 @@ class EigenSolution:
         _freeze(self, "direction", "spectrum", "eigenvectors")
 
 
-def _check_symmetric(matrix) -> np.ndarray:
-    a = _as_array(matrix, "matrix", (2,))
-    if a.shape[0] != a.shape[1]:
-        raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
-    scale = float(np.max(np.abs(a)))
-    skew = float(np.max(np.abs(a - a.T)))
-    if skew > SYMMETRY_RTOL * max(scale, np.finfo(np.float64).tiny):
-        raise NotSymmetric(
-            f"matrix is not symmetric: max |A - A^T| = {skew:g} at scale {scale:g}"
-        )
-    return 0.5 * (a + a.T)
-
-
 def _off_diag_norm(a: np.ndarray) -> float:
     off = a - np.diag(np.diag(a))
     return float(np.linalg.norm(off))
@@ -99,27 +85,33 @@ def dominant_eigenpair(matrix) -> EigenSolution:
     copied from its new columns, and the two diagonal entries and the
     annihilated pair set by the closed-form update.
 
-    Everything runs on the input scaled by the power of two that brings its
-    largest entry into [0.5, 1): the rotations, the stopping norms, the
-    Rayleigh quotient and the residual. The scaling is exact, so at
-    ordinary magnitudes the bits are those of the unscaled iteration. At
-    any magnitude of a finite input the norms cannot overflow, and only
-    entries far below JACOBI_TOL of the largest can underflow in them. The
-    spectrum, the Rayleigh quotient and the residual are scaled back by the
-    same power of two; the eigenvectors need no scaling back.
+    The input passes one gate, geometry._symmetric_scaled: validated,
+    scaled by the power of two that brings its largest entry into [0.5, 1),
+    checked for symmetry and symmetrized, in that order. Everything runs on
+    that copy: the rotations, the stopping norms, the Rayleigh quotient and
+    the residual. The scaling is exact, so at ordinary magnitudes the bits
+    are those of the unscaled iteration. At any magnitude of a finite input
+    the norms cannot overflow, and only entries far below JACOBI_TOL of the
+    largest can underflow in them. The spectrum, the Rayleigh quotient and
+    the residual are scaled back by the same power of two
+    (geometry._pow2_restored); the eigenvectors need no scaling back.
 
     Args:
-        matrix: square symmetric array (checked to SYMMETRY_RTOL, then
-            symmetrized exactly before iterating).
+        matrix: square symmetric array (checked to geometry.SYMMETRY_RTOL
+            of its largest entry, then symmetrized exactly before
+            iterating).
 
     Raises:
         DimensionMismatch: if the input is not a 2-d array.
-        NonFinite: if an entry is NaN or infinite.
+        NonFinite: if an entry is NaN or infinite, or if an eigenvalue,
+            the Rayleigh quotient or the residual scaled back leaves the
+            float64 range (a finite matrix with entries near the float64
+            maximum can have eigenvalues beyond it).
         NotSymmetric: if the input is not square or not symmetric.
         NoConvergence: if MAX_SWEEPS sweeps leave the off-diagonal norm
             above JACOBI_TOL relative to the input's Frobenius norm.
     """
-    a0, exp = _pow2_scaled(_check_symmetric(matrix))
+    a0, exp = _symmetric_scaled(matrix)
     d = a0.shape[0]
     av = np.concatenate([a0, np.eye(d)])
     a, v = av[:d], av[d:]
@@ -175,12 +167,13 @@ def dominant_eigenpair(matrix) -> EigenSolution:
     else:
         ambiguous = False
 
+    scaled_back = _pow2_restored([rayleigh, residual, *spectrum], exp)
     return EigenSolution(
         direction=direction,
-        rayleigh=math.ldexp(rayleigh, exp),
-        stationarity_residual=math.ldexp(residual, exp),
+        rayleigh=float(scaled_back[0]),
+        stationarity_residual=float(scaled_back[1]),
         ambiguous=ambiguous,
-        spectrum=np.ldexp(spectrum, exp),
+        spectrum=scaled_back[2:],
         eigenvectors=vectors,
     )
 

@@ -17,7 +17,7 @@ from orthofit.geometry import (
     ParametricLine,
     PointSet,
     _canonical_signs,
-    _pow2_scaled,
+    _symmetric_scaled,
     center,
     line_distances_sq,
 )
@@ -142,6 +142,12 @@ class TestDominantEigenpair:
             dominant_eigenpair(np.array([[1.0, 2.0], [0.0, 1.0]]))
         with pytest.raises(NotSymmetric):
             dominant_eigenpair(np.ones((2, 3)))
+        # Judged on the scaled matrix, reported unscaled; a skew past the
+        # float64 maximum reads inf instead of raising OverflowError.
+        with pytest.raises(NotSymmetric, match=r"= 8\.29903e\+180 at scale 8\.29903e\+180"):
+            dominant_eigenpair(np.ldexp([[1.0, 2.0], [0.0, 1.0]], 600))
+        with pytest.raises(NotSymmetric, match=r"= inf at scale 1e\+308"):
+            dominant_eigenpair(np.array([[0.0, 1e308], [-1e308, 0.0]]))
 
     def test_non_finite_matrix_is_typed(self):
         with pytest.raises(NonFinite, match="non-finite values in matrix"):
@@ -178,7 +184,7 @@ def per_entry_jacobi(matrix):
     """The cyclic Jacobi with one scalar update per matrix entry, the
     reference dominant_eigenpair's column rotations must match bit for bit;
     returns (spectrum, eigenvectors, rayleigh, residual) as it reports them."""
-    a0, exp = _pow2_scaled(solver._check_symmetric(matrix))
+    a0, exp = _symmetric_scaled(matrix)
     a, d = a0.copy(), a0.shape[0]
     v = np.eye(d)
     threshold = solver.JACOBI_TOL * float(np.linalg.norm(a))

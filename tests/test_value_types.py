@@ -1,9 +1,12 @@
 """Every value type holds read-only copies of its array fields.
 
 Constructing one never touches the arrays the caller passed in: they stay
-writable, unchanged and unshared with the value.
+writable, unchanged and unshared with the value. Equality and hashing are
+by identity: a generated field-wise __eq__ would compare arrays, whose truth
+value is undefined, and its __hash__ would hash them.
 """
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -101,3 +104,13 @@ def test_array_fields_are_read_only_copies(name):
         assert not np.shares_memory(array, arrays[key]), key
         assert arrays[key].flags.writeable, key
         assert np.array_equal(arrays[key], before[key]), key
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_equality_and_hash_are_by_identity(name):
+    cls, make_fields = CASES[name]
+    value = cls(**make_fields())
+    assert value == value
+    assert value != copy.copy(value)
+    assert hash(value) == hash(value)
+    assert value in {value}
