@@ -37,19 +37,13 @@ from .errors import (
 )
 from .fit import (
     _dependent_index,
+    check_fit,
     fit_lse_explicit,
     fit_tls_line,
     total_orthogonal_distance,
     vertical_residual_sq,
 )
-from .geometry import PointSet, _pow2_scaled, _rejection_sq, _unit, line_distances_sq
-from .oracle import cubic_eigenvalues, grid_search_direction
-from .scatter import ScatterSummary
-from .solver import (
-    finite_diff_gradient,
-    quadratic_objective,
-    stationarity_forms,
-)
+from .geometry import PointSet, _unit, line_distances_sq
 
 # Lines converted per block by parse_points_text: big enough that numpy's
 # per-call cost vanishes, small enough that only one block's tokens are
@@ -255,6 +249,8 @@ def cmd_gen(args) -> int:
         raise ParseError(
             f"--t-range must be finite with MIN < MAX and a finite span, got {t_lo} {t_hi}"
         )
+    if args.seed < 0:
+        raise ParseError(f"--seed must be nonnegative, got {args.seed}")
 
     rng = np.random.default_rng(args.seed)
     if args.direction is not None:
@@ -389,108 +385,26 @@ def _compare_csv(points, tls, lse_line) -> str:
 
 
 def cmd_check(args) -> int:
-    """Run the built-in diagnostics against an input cloud.
+    """Run the built-in diagnostics (fit.check_fit) against an input cloud.
 
     Each line of the report is 'PASS name measured=... tol=...', or FAIL
     in the same shape, or 'SKIP name (reason)' for checks that do not apply
-    to the input's dimension. Exit code is 1 when anything failed.
+    to the input. Exit code is 1 when anything failed.
     """
     if not (0.0 < args.resolution_deg <= 10.0):
         raise ParseError(f"--resolution-deg must be in (0, 10], got {args.resolution_deg}")
-    points = _read_points(args.input)
-    result = fit_tls_line(points)
-    moments = result.moments
-    direction = result.line.direction
-    cloud_scale = moments.total_sq_norm
-    rng = np.random.default_rng(args.seed)
-    # The diagnostics read one copy of the moments, scaled by the power of
-    # two that brings the scatter's largest entry into [0.5, 1) (the
-    # solver's rule), so none of their products or norms can overflow or
-    # underflow at any cloud scale; measured values are scaled back.
-    scatter, exp = _pow2_scaled(moments.scatter)
-    scaled = ScatterSummary(math.ldexp(cloud_scale, -exp), scatter, moments.n_points)
-
-    report: list[tuple[str, str, str]] = []
-
-    measured = result.eigen.stationarity_residual
-    tol = 1e-8 * cloud_scale
-    report.append(_verdict("stationarity-residual", measured, tol))
-
-    gradient = finite_diff_gradient(scaled, direction)
-    measured = math.ldexp(float(np.linalg.norm(gradient)), exp)
-    tol = 1e-6 * cloud_scale
-    report.append(_verdict("gradient-norm", measured, tol))
-
-    # Each probe's gap between the two forms is measured against the bound
-    # xi |s|^3 that |C|, |O| <= xi put on both, not against the forms
-    # themselves, which vanish near an eigenvector.
-    probes = rng.standard_normal((50, points.dim))
-    forms = np.stack(stationarity_forms(scaled, probes))
-    bound = scaled.total_sq_norm * np.linalg.norm(probes, axis=1) ** 3
-    worst = float(np.max(np.linalg.norm(forms[0] - forms[1], axis=1) / bound))
-    report.append(_verdict("stationarity-forms", worst, 1e-9))
-
-    routes = [
-        result.total_sq_distance,
-        math.ldexp(quadratic_objective(scaled, direction), exp),
-        moments.total_sq_norm - result.eigen.rayleigh,
+    if args.seed < 0:
+        raise ParseError(f"--seed must be nonnegative, got {args.seed}")
+    report = check_fit(_read_points(args.input), args.resolution_deg, args.seed)
+    lines = [
+        f"{r.status} {r.name}  "
+        + (f"({r.reason})" if r.reason else f"measured={r.measured:.6g} tol={r.tol:.6g}")
+        for r in report
     ]
-    measured = max(abs(a - b) for a in routes for b in routes)
-    tol = 1e-9 * cloud_scale
-    report.append(_verdict("objective-consistency", measured, tol))
-
-    if points.dim <= 3:
-        grid = grid_search_direction(points, args.resolution_deg)
-        gap = grid.best_sq_distance - result.total_sq_distance
-        res_rad = math.radians(args.resolution_deg)
-        quantization = (
-            float(result.eigen.spectrum[0] - result.eigen.spectrum[-1])
-            * math.sin(res_rad) ** 2
-        )
-        tol = max(1e-4 * result.total_sq_distance, quantization, 1e-12 * cloud_scale)
-        if gap < -1e-12 * cloud_scale:
-            report.append(("FAIL", "grid-agreement", _measured_tol(gap, tol)))
-        else:
-            report.append(_verdict("grid-agreement", gap, tol))
-        if result.eigen.ambiguous:
-            report.append(
-                ("SKIP", "grid-direction", "(dominant direction is ambiguous)")
-            )
-        else:
-            rejection_sq = _rejection_sq(direction[None], grid.best_direction)[0]
-            dot = abs(float(direction @ grid.best_direction))
-            angle_deg = math.degrees(math.atan2(math.sqrt(rejection_sq), dot))
-            tol_deg = max(0.5, 2.0 * args.resolution_deg)
-            report.append(_verdict("grid-direction", angle_deg, tol_deg))
-    else:
-        reason = f"(grid oracle covers dim <= 3, input is {points.dim})"
-        report.append(("SKIP", "grid-agreement", reason))
-        report.append(("SKIP", "grid-direction", reason))
-
-    if points.dim == 3:
-        closed_form = cubic_eigenvalues(moments.scatter)
-        measured = float(np.max(np.abs(result.eigen.spectrum - closed_form)))
-        tol = 1e-8 * cloud_scale
-        report.append(_verdict("spectrum-cubic", measured, tol))
-    else:
-        report.append(
-            ("SKIP", "spectrum-cubic", f"(closed form covers dim 3, input is {points.dim})")
-        )
-
-    lines = [f"{status} {name}  {detail}" for status, name, detail in report]
-    failed = sum(1 for status, _, _ in report if status == "FAIL")
+    failed = sum(r.status == "FAIL" for r in report)
     lines.append(f"checks: {len(report)}  failed: {failed}")
     _write_output(args.output, "\n".join(lines) + "\n")
     return 1 if failed else 0
-
-
-def _measured_tol(measured: float, tol: float) -> str:
-    return f"measured={measured:.6g} tol={tol:.6g}"
-
-
-def _verdict(name: str, measured: float, tol: float) -> tuple[str, str, str]:
-    status = "PASS" if measured <= tol else "FAIL"
-    return status, name, _measured_tol(measured, tol)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -7,11 +7,13 @@ y = w . x + b, centered by geometry.center and solved by numpy.linalg.lstsq.
 It carries its graph as a line through the same centroid the orthogonal fit
 uses, so the two can be scored by the same metric on the same data, where
 the orthogonal fit is never worse and is often much better once the data is
-steep or rotated.
+steep or rotated. check_fit fits a cloud and verifies the fit against the
+solver's diagnostics and the oracles, which share none of the fit's code.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,13 +23,21 @@ from .geometry import (
     ParametricLine,
     PointSet,
     _freeze,
+    _pow2_scaled,
     _rejection_sq,
     _unit,
     center,
     line_distances_sq,
 )
+from .oracle import cubic_eigenvalues, grid_search_direction
 from .scatter import ScatterSummary, accumulate_scatter
-from .solver import EigenSolution, dominant_eigenpair
+from .solver import (
+    EigenSolution,
+    dominant_eigenpair,
+    finite_diff_gradient,
+    quadratic_objective,
+    stationarity_forms,
+)
 
 @dataclass(frozen=True, eq=False)
 class LineFitResult:
@@ -244,3 +254,103 @@ def vertical_residual_sq(
     predicted = line.anchor[dep] + t * line.direction[dep]
     gaps = points.points[:, dep] - predicted
     return float(np.sum(gaps * gaps))
+
+
+@dataclass(frozen=True)
+class CheckRecord:
+    """One verdict of check_fit, one line of the `check` report.
+
+    Attributes:
+        name: the check, e.g. "grid-agreement".
+        status: "PASS" when measured lies in the check's accepted range, at
+            most tol (grid-agreement also needs at least -1e-12 xi), "FAIL"
+            when it does not or is NaN, "SKIP" when the check does not apply.
+        measured: the value the check read; None for a SKIP.
+        tol: the largest value that passes; None for a SKIP.
+        reason: why the check was skipped; None otherwise.
+    """
+
+    name: str
+    status: str
+    measured: float | None = None
+    tol: float | None = None
+    reason: str | None = None
+
+
+def _judged(name: str, measured: float, tol: float, lo: float = -math.inf) -> CheckRecord:
+    """The one verdict rule: PASS when lo <= measured <= tol, else FAIL."""
+    return CheckRecord(name, "PASS" if lo <= measured <= tol else "FAIL", measured, tol)
+
+
+def check_fit(points: PointSet, resolution_deg: float, seed: int) -> tuple[CheckRecord, ...]:
+    """Fit the cloud and verify the fit by routes that share none of its code.
+
+    The records come in report order: stationarity-residual, gradient-norm,
+    stationarity-forms, objective-consistency, grid-agreement,
+    grid-direction and spectrum-cubic. The grid checks run in dimensions 2
+    and 3 at resolution_deg, the closed-form spectrum in dimension 3; each
+    is a SKIP elsewhere, and grid-direction is one too when the dominant
+    direction is ambiguous. Tolerances scale with the cloud's total squared
+    norm xi. The two stationarity forms are compared at 50 probe directions
+    drawn from seed.
+
+    Raises:
+        whatever fit_tls_line raises; ValueError for a negative seed, or for
+        a resolution_deg outside (0, 10] in dimensions 2 and 3; MemoryError
+        for a grid too large to allocate.
+    """
+    result = fit_tls_line(points)
+    moments, eigen = result.moments, result.eigen
+    direction = result.line.direction
+    xi = moments.total_sq_norm
+    # The diagnostics read one copy of the moments, scaled by the power of
+    # two that brings the scatter's largest entry into [0.5, 1) (the
+    # solver's rule), so none of their products or norms can overflow or
+    # underflow at any cloud scale; measured values are scaled back.
+    scatter, exp = _pow2_scaled(moments.scatter)
+    scaled = ScatterSummary(math.ldexp(xi, -exp), scatter, moments.n_points)
+    gradient_norm = np.linalg.norm(finite_diff_gradient(scaled, direction))
+    # Each probe's gap between the two forms is measured against the bound
+    # xi |s|^3 that |C|, |O| <= xi put on both, not against the forms
+    # themselves, which vanish near an eigenvector.
+    probes = np.random.default_rng(seed).standard_normal((50, points.dim))
+    forms = np.stack(stationarity_forms(scaled, probes))
+    bound = scaled.total_sq_norm * np.linalg.norm(probes, axis=1) ** 3
+    worst = float(np.max(np.linalg.norm(forms[0] - forms[1], axis=1) / bound))
+    objective = math.ldexp(quadratic_objective(scaled, direction), exp)
+    routes = [result.total_sq_distance, objective, xi - eigen.rayleigh]
+    disagreement = max(abs(a - b) for a in routes for b in routes)
+    report = [
+        _judged("stationarity-residual", eigen.stationarity_residual, 1e-8 * xi),
+        _judged("gradient-norm", math.ldexp(float(gradient_norm), exp), 1e-6 * xi),
+        _judged("stationarity-forms", worst, 1e-9),
+        _judged("objective-consistency", disagreement, 1e-9 * xi),
+    ]
+
+    if points.dim <= 3:
+        grid = grid_search_direction(points, resolution_deg)
+        gap = grid.best_sq_distance - result.total_sq_distance
+        spread = float(eigen.spectrum[0] - eigen.spectrum[-1])
+        quantization = spread * math.sin(math.radians(resolution_deg)) ** 2
+        tol = max(1e-4 * result.total_sq_distance, quantization, 1e-12 * xi)
+        report.append(_judged("grid-agreement", gap, tol, lo=-1e-12 * xi))
+        if eigen.ambiguous:
+            reason = "dominant direction is ambiguous"
+            report.append(CheckRecord("grid-direction", "SKIP", reason=reason))
+        else:
+            rejection_sq = _rejection_sq(direction[None], grid.best_direction)[0]
+            dot = abs(float(direction @ grid.best_direction))
+            angle_deg = math.degrees(math.atan2(math.sqrt(rejection_sq), dot))
+            report.append(_judged("grid-direction", angle_deg, max(0.5, 2.0 * resolution_deg)))
+    else:
+        reason = f"grid oracle covers dim <= 3, input is {points.dim}"
+        report.append(CheckRecord("grid-agreement", "SKIP", reason=reason))
+        report.append(CheckRecord("grid-direction", "SKIP", reason=reason))
+
+    if points.dim == 3:
+        measured = np.max(np.abs(eigen.spectrum - cubic_eigenvalues(moments.scatter)))
+        report.append(_judged("spectrum-cubic", float(measured), 1e-8 * xi))
+    else:
+        reason = f"closed form covers dim 3, input is {points.dim}"
+        report.append(CheckRecord("spectrum-cubic", "SKIP", reason=reason))
+    return tuple(report)

@@ -46,6 +46,12 @@ class GridSearchResult:
 
 
 def _grid_directions(dim: int, resolution_deg: float) -> np.ndarray:
+    # numpy refuses, with a ValueError, to size an array whose bytes an intp
+    # cannot count. A grid that may be that large (bounded in floats at
+    # 360 / resolution_deg nodes per angle) is refused before any of it is
+    # built, as the request too large to allocate that it is.
+    if math.prod([360.0 / resolution_deg] * (dim - 1)) * dim * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"a grid at resolution_deg {resolution_deg} is too large to allocate")
     if dim == 2:
         theta = np.deg2rad(np.arange(0.0, 180.0, resolution_deg))
         return np.column_stack([np.cos(theta), np.sin(theta)])
@@ -85,6 +91,7 @@ def grid_search_direction(points: PointSet, resolution_deg: float) -> GridSearch
     Raises:
         UnsupportedDimension: for clouds that are not 2- or 3-dimensional.
         ValueError: for a resolution outside (0, 10].
+        MemoryError: for a grid too large to allocate.
     """
     if points.dim not in (2, 3):
         raise UnsupportedDimension(

@@ -1,4 +1,4 @@
-import dataclasses
+import io
 import json
 import math
 import os
@@ -10,10 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import angle_between
+from conftest import angle_between, dropped_term, perturbed_scatter, sign_flip
 
 import orthofit
-from orthofit import cli, solver
+from orthofit import cli, fit, solver
 from orthofit.fit import fit_lse_explicit, fit_tls_line
 from orthofit.geometry import PointSet, line_distances_sq
 
@@ -661,6 +661,31 @@ class TestCheckCommand:
         assert proc.stderr.startswith("error: --resolution-deg")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", [["check", "--input", "-"], ["gen", "--n", "5"]])
+    def test_negative_seed_is_a_usage_error(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1,2\n3,5\n4,4\n"))
+        assert cli.main([*command, "--seed", "-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize("resolution", ["1e-30", "1e-300"])
+    @pytest.mark.parametrize(
+        "text", ["1,2\n3,5\n4,4\n", "1,2,0\n3,5,1\n4,4,3\n"], ids=["2d", "3d"]
+    )
+    def test_grid_numpy_cannot_size_is_one_error_line(
+        self, capsys, monkeypatch, text, resolution
+    ):
+        # numpy refuses to size these grids without allocating anything;
+        # the refusal is the request too large to allocate that it is.
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert cli.main(["check", "--resolution-deg", resolution]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: a grid at resolution_deg {resolution} is too large to allocate\n"
+        )
+
     @pytest.mark.parametrize(
         "gen",
         [
@@ -680,31 +705,18 @@ class TestCheckCommand:
         report = capsys.readouterr().out
         assert "PASS stationarity-forms" in report, report
 
-    @staticmethod
-    def _sign_flip(summary, s):
-        form_c, form_s = solver.stationarity_forms(summary, s)
-        return form_c, -form_s
-
-    @staticmethod
-    def _dropped_term(summary, s):
-        form_c, _ = solver.stationarity_forms(summary, s)
-        ss = np.einsum("ij,ij->i", s, s)
-        return form_c, -ss[:, None] * np.einsum("jk,ik->ij", summary.scatter, s)
-
-    @staticmethod
-    def _perturbed_scatter(summary, s):
-        form_c, _ = solver.stationarity_forms(summary, s)
-        bent = dataclasses.replace(summary, scatter=summary.scatter * (1.0 + 1e-6))
-        return form_c, solver.stationarity_forms(bent, s)[1]
-
-    @pytest.mark.parametrize("defect", ["_sign_flip", "_dropped_term", "_perturbed_scatter"])
+    @pytest.mark.parametrize(
+        "defect",
+        [sign_flip, dropped_term, perturbed_scatter],
+        ids=["_sign_flip", "_dropped_term", "_perturbed_scatter"],
+    )
     def test_stationarity_forms_catch_planted_defects(
         self, tmp_path, capsys, monkeypatch, defect
     ):
         cloud = tmp_path / "cloud.csv"
         gen = ["gen", "--n", "100", "--dim", "3", "--sigma", "0.1", "--seed", "4"]
         assert cli.main([*gen, "--output", str(cloud)]) == 0
-        monkeypatch.setattr(cli, "stationarity_forms", getattr(self, defect))
+        monkeypatch.setattr(fit, "stationarity_forms", defect)
         assert cli.main(["check", "--input", str(cloud)]) == 1
         report = capsys.readouterr().out
         assert "FAIL stationarity-forms" in report, report

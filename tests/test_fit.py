@@ -1,12 +1,24 @@
+import dataclasses
+import math
 import warnings
 
 import numpy as np
 import pytest
-from conftest import angle_between, line_cloud, random_rotation
+from conftest import (
+    angle_between,
+    dropped_term,
+    line_cloud,
+    perturbed_scatter,
+    random_rotation,
+    sign_flip,
+)
 from test_moments import sum_tol
 
+from orthofit import cli, fit, oracle
 from orthofit.errors import DegenerateInput, DimensionMismatch, NonFinite, RankDeficient
 from orthofit.fit import (
+    CheckRecord,
+    check_fit,
     fit_lse_explicit,
     fit_tls_line,
     total_orthogonal_distance,
@@ -330,3 +342,97 @@ class TestVerticalResidual:
         line = ParametricLine(np.zeros(2), np.array([1.0, 0.0]))
         with pytest.raises(DimensionMismatch):
             vertical_residual_sq(ps, line)
+
+
+CHECK_NAMES = [
+    "stationarity-residual",
+    "gradient-norm",
+    "stationarity-forms",
+    "objective-consistency",
+    "grid-agreement",
+    "grid-direction",
+    "spectrum-cubic",
+]
+
+
+@pytest.fixture()
+def seed4_cloud(tmp_path):
+    """The cloud of `gen --n 100 --dim 3 --sigma 0.1 --seed 4`."""
+    path = tmp_path / "cloud.csv"
+    argv = ["gen", "--n", "100", "--dim", "3", "--sigma", "0.1", "--seed", "4"]
+    assert cli.main([*argv, "--output", str(path)]) == 0
+    with open(path) as fh:
+        return cli.parse_points_text(fh)
+
+
+def _by_name(report):
+    assert [r.name for r in report] == CHECK_NAMES
+    return {r.name: r for r in report}
+
+
+class TestCheckFit:
+    def test_clean_cloud_passes_every_check_in_report_order(self, seed4_cloud):
+        report = check_fit(seed4_cloud, 0.5, 0)
+        assert isinstance(report, tuple)
+        for record in _by_name(report).values():
+            assert record.status == "PASS", record
+            assert record.reason is None
+            assert record.measured <= record.tol
+
+    def test_high_dimension_skips_with_reasons(self):
+        rng = np.random.default_rng(8)
+        records = _by_name(check_fit(PointSet(rng.uniform(-1.0, 1.0, (30, 5))), 0.5, 0))
+        grid_reason = "grid oracle covers dim <= 3, input is 5"
+        for name in ("grid-agreement", "grid-direction"):
+            assert records[name] == CheckRecord(name, "SKIP", reason=grid_reason)
+        assert records["spectrum-cubic"] == CheckRecord(
+            "spectrum-cubic", "SKIP", reason="closed form covers dim 3, input is 5"
+        )
+        assert [r.status for r in records.values()][:4] == ["PASS"] * 4
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_cross_skips_the_ambiguous_direction(self, dim):
+        # Unit points on each axis, both ways: every direction fits equally
+        # well, and the grid reads a gap a rounding below zero, which the
+        # verdict's lower end (-1e-12 xi) accepts.
+        axes = np.eye(dim)
+        records = _by_name(check_fit(PointSet(np.concatenate([axes, -axes])), 0.5, 0))
+        assert records["grid-direction"] == CheckRecord(
+            "grid-direction", "SKIP", reason="dominant direction is ambiguous"
+        )
+        agreement = records["grid-agreement"]
+        assert agreement.status == "PASS"
+        assert -1e-15 < agreement.measured < 0.0
+        assert sum(r.status == "FAIL" for r in records.values()) == 0
+
+    def test_grid_below_the_fit_fails(self, seed4_cloud, monkeypatch):
+        # A grid node scoring below the orthogonal minimum is a broken fit.
+        def zero_scoring(points, resolution_deg):
+            grid = oracle.grid_search_direction(points, resolution_deg)
+            return dataclasses.replace(grid, best_sq_distance=0.0)
+
+        monkeypatch.setattr(fit, "grid_search_direction", zero_scoring)
+        record = _by_name(check_fit(seed4_cloud, 0.5, 0))["grid-agreement"]
+        assert record.status == "FAIL"
+        assert record.measured < 0.0 < record.tol
+
+    @pytest.mark.parametrize(
+        "defect, lo, hi, status",
+        [
+            (None, 0.0, 1e-15, "PASS"),
+            (sign_flip, 0.5, math.inf, "FAIL"),
+            (dropped_term, 0.5, math.inf, "FAIL"),
+            (perturbed_scatter, 1e-7, 1e-6, "FAIL"),
+        ],
+        ids=["clean", "sign_flip", "dropped_term", "perturbed_scatter"],
+    )
+    def test_stationarity_forms_reads_planted_defects(
+        self, seed4_cloud, monkeypatch, defect, lo, hi, status
+    ):
+        # The values README cites: rounding reads ~1e-16, a sign error or a
+        # dropped term near 1, a scatter perturbed by 1e-6 about 5e-7.
+        if defect is not None:
+            monkeypatch.setattr(fit, "stationarity_forms", defect)
+        record = _by_name(check_fit(seed4_cloud, 0.5, 0))["stationarity-forms"]
+        assert lo <= record.measured <= hi
+        assert (record.status, record.tol) == (status, 1e-9)

@@ -7,7 +7,9 @@ Writes a fixed, seeded set of input files into a temporary directory:
 * a copy of each scaled by 2^-500, 2^-300, 2^300 and 2^500, which is exact
   while the coordinates stay normal floats;
 * malformed and edge files: a bad token, a short row, one column, `inf`, a
-  single point, coincident points, a vertical cloud and a `,,,` row.
+  single point, coincident points, a vertical cloud, a `,,,` row, and the
+  2-d and 3-d crosses of unit points on each axis, whose dominant direction
+  is ambiguous.
 
 On every file it runs, in this process through orthofit.cli.main, `fit` as
 table, csv and json with --per-point, `compare` as table, json and csv and
@@ -54,6 +56,8 @@ MALFORMED = {
     "coincident": "1,2\n1,2\n1,2\n",
     "vertical": "1,0\n1,1\n1,2.5\n1,3\n",
     "commas": ",,,\n1,2\n3,4\n",
+    "cross_2d": "1,0\n-1,0\n0,1\n0,-1\n",
+    "cross_3d": "1,0,0\n-1,0,0\n0,1,0\n0,-1,0\n0,0,1\n0,0,-1\n",
 }
 COMMANDS = (
     ("fit", "--format", "table"),
