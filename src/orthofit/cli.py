@@ -22,7 +22,7 @@ import io
 import json
 import math
 import sys
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -67,8 +67,8 @@ def parse_points_text(lines) -> PointSet:
     set by the first data row; every later row must match it.
 
     The lines are read in blocks of _PARSE_BLOCK. Each block's kept lines
-    are split into rows, checked against the dimension, and converted in
-    one pass of Python's float() into a numpy array, so the accepted
+    are split into rows and converted by one numpy.array call, which reads
+    each str token with Python's own float() grammar, so the accepted
     tokens and their values are exactly those of a per-token float().
     A block that fails any check is walked again line by line to raise
     the error, so every message and line number is the same as a
@@ -109,16 +109,14 @@ def _convert_block(
     finite float, the block's stripped lines are walked instead, and the
     first error is raised with its line number in the whole input.
     """
-    if width >= 2 and all(len(row) == width for row in rows):
+    if width >= 2:
         try:
-            values = np.fromiter(
-                map(float, chain.from_iterable(rows)), np.float64, len(rows) * width
-            )
+            values = np.array(rows, dtype=np.float64)
         except ValueError:
             pass
         else:
-            if np.isfinite(values).all():
-                return values.reshape(len(rows), width)
+            if values.shape[1] == width and np.isfinite(values).all():
+                return values
     for lineno, line in enumerate(stripped, start=first_lineno):
         if not line or line.startswith("#"):
             continue
@@ -243,12 +241,6 @@ def cmd_gen(args) -> int:
         raise ParseError(f"--dim must be at least 2, got {args.dim}")
     if not (0.0 <= args.sigma < math.inf):
         raise ParseError(f"--sigma must be finite and nonnegative, got {args.sigma}")
-    t_lo, t_hi = args.t_range
-    # A finite span implies finite bounds; NaN fails the comparison.
-    if not (t_lo < t_hi and math.isfinite(t_hi - t_lo)):
-        raise ParseError(
-            f"--t-range must be finite with MIN < MAX and a finite span, got {t_lo} {t_hi}"
-        )
     if args.seed < 0:
         raise ParseError(f"--seed must be nonnegative, got {args.seed}")
 
@@ -266,23 +258,20 @@ def cmd_gen(args) -> int:
     else:
         anchor = np.zeros(args.dim)
 
-    t = rng.uniform(t_lo, t_hi, args.n)
+    t = rng.uniform(-1.0, 1.0, args.n)
     # Large flags can overflow; the check below reports it as NonFinite.
     with np.errstate(over="ignore", invalid="ignore"):
-        if args.noise == "uniform":
-            noise = rng.uniform(-1.0, 1.0, (args.n, args.dim)) * args.sigma
-        else:
-            noise = rng.standard_normal((args.n, args.dim)) * args.sigma
+        noise = rng.standard_normal((args.n, args.dim)) * args.sigma
         points = anchor + t[:, None] * direction + noise
     if not np.isfinite(points).all():
-        raise NonFinite("generated coordinates overflow; reduce --anchor, --t-range or --sigma")
+        raise NonFinite("generated coordinates overflow; reduce --anchor or --sigma")
 
     lines = [
         f"# generated cloud: n={args.n} dim={args.dim} seed={args.seed}"
-        f" sigma={_repr_num(args.sigma)} noise={args.noise}",
+        f" sigma={_repr_num(args.sigma)} noise=gaussian",
         f"# direction: {_repr_vec(direction)}",
         f"# anchor: {_repr_vec(anchor)}",
-        f"# t-range: {_repr_num(t_lo)},{_repr_num(t_hi)}",
+        "# t-range: -1.0,1.0",
     ]
     lines.extend(",".join(map(repr, row)) for row in points.tolist())
     _write_output(args.output, "\n".join(lines) + "\n")
@@ -393,9 +382,7 @@ def cmd_check(args) -> int:
     """
     if not (0.0 < args.resolution_deg <= 10.0):
         raise ParseError(f"--resolution-deg must be in (0, 10], got {args.resolution_deg}")
-    if args.seed < 0:
-        raise ParseError(f"--seed must be nonnegative, got {args.seed}")
-    report = check_fit(_read_points(args.input), args.resolution_deg, args.seed)
+    report = check_fit(_read_points(args.input), args.resolution_deg)
     lines = [
         f"{r.status} {r.name}  "
         + (f"({r.reason})" if r.reason else f"measured={r.measured:.6g} tol={r.tol:.6g}")
@@ -463,20 +450,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument(
         "--anchor", default=None, help="line anchor, comma separated (default: origin)"
     )
-    p_gen.add_argument(
-        "--t-range",
-        type=float,
-        nargs=2,
-        default=(-1.0, 1.0),
-        metavar=("MIN", "MAX"),
-        help="parameter range along the line (default -1 1)",
-    )
-    p_gen.add_argument(
-        "--noise",
-        choices=("gaussian", "uniform"),
-        default="gaussian",
-        help="noise model (default gaussian)",
-    )
     p_gen.set_defaults(func=cmd_gen)
 
     p_cmp = subparsers.add_parser(
@@ -493,7 +466,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_chk = subparsers.add_parser("check", help="run self-diagnostics on an input")
     _add_io_flags(p_chk, with_format=False)
-    p_chk.add_argument("--seed", type=int, default=0, help="seed for probe directions")
     p_chk.add_argument(
         "--resolution-deg",
         type=float,

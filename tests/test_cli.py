@@ -234,6 +234,20 @@ class TestFitErrors:
         assert proc.returncode == 3
         assert "unrecognized arguments: --tol" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "--seed", "3"], ["gen", "--noise", "uniform"], ["gen", "--t-range", "0", "1"]],
+        ids=["check_seed", "gen_noise", "gen_t_range"],
+    )
+    def test_constant_flags_are_gone(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: orthofit")
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in captured.err
+
     def test_help_exits_zero(self):
         assert run_cli("--help").returncode == 0
         assert run_cli("fit", "--help").returncode == 0
@@ -291,28 +305,11 @@ class TestGenCommand:
         mean_sq = doc["total_sq_distance"] / 2000.0
         assert abs(mean_sq - 0.02) <= 0.003
 
-    def test_t_range_controls_spread(self, tmp_path):
-        out = tmp_path / "span.csv"
-        run_cli(
-            "gen", "--output", str(out),
-            "--n", "200", "--dim", "2", "--seed", "6",
-            "--sigma", "0.01", "--direction", "1,0", "--t-range", "0", "4",
-        )
-        pts = np.array(
-            [[float(v) for v in l.split(",")]
-             for l in out.read_text().splitlines() if l and not l.startswith("#")]
-        )
-        assert pts[:, 0].min() >= -0.5
-        assert pts[:, 0].max() <= 4.5
-        assert pts[:, 0].max() > 3.0
-
-    def test_uniform_noise_model(self, tmp_path):
-        out = tmp_path / "u.csv"
-        proc = run_cli(
-            "gen", "--output", str(out), "--n", "50", "--seed", "7", "--noise", "uniform"
-        )
-        assert proc.returncode == 0
-        assert "noise=uniform" in out.read_text().splitlines()[0]
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        assert cli.main(["gen", "--n", "5", "--seed", "-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be nonnegative, got -1\n"
 
     def test_zero_direction_rejected(self):
         proc = run_cli("gen", "--direction", "0,0,0")
@@ -324,14 +321,10 @@ class TestGenCommand:
         assert run_cli("gen", "--sigma", "-0.5").returncode == 3
         assert run_cli("gen", "--sigma", "nan").returncode == 3
         assert run_cli("gen", "--sigma", "inf").returncode == 3
-        assert run_cli("gen", "--t-range", "2", "2").returncode == 3
-        assert run_cli("gen", "--t-range", "0", "inf").returncode == 3
-        assert run_cli("gen", "--t-range", "nan", "1").returncode == 3
         assert run_cli("gen", "--direction", "1,2").returncode == 3  # dim mismatch
         # Flags that are each finite but overflow the coordinates together.
         proc = run_cli(
-            "gen", "--sigma", "0", "--anchor", "1.5e308,0,0",
-            "--t-range", "0", "1e308", "--direction", "1,0,0",
+            "gen", "--anchor", "1.5e308,0,0", "--direction", "1,0,0", "--sigma", "1e308"
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
@@ -644,9 +637,11 @@ class TestCheckCommand:
         assert "SKIP grid-direction" in proc.stdout
 
     def test_deterministic(self, noisy_cloud):
-        a = run_cli("check", "--input", str(noisy_cloud), "--seed", "3").stdout
-        b = run_cli("check", "--input", str(noisy_cloud), "--seed", "3").stdout
-        assert a == b
+        a = run_cli("check", "--input", str(noisy_cloud))
+        b = run_cli("check", "--input", str(noisy_cloud))
+        assert a.returncode == b.returncode == 0
+        assert a.stdout
+        assert a.stdout == b.stdout
 
     def test_degenerate_input_propagates(self, tmp_path):
         cloud = tmp_path / "same.csv"
@@ -660,14 +655,6 @@ class TestCheckCommand:
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: --resolution-deg")
         assert "Traceback" not in proc.stderr
-
-    @pytest.mark.parametrize("command", [["check", "--input", "-"], ["gen", "--n", "5"]])
-    def test_negative_seed_is_a_usage_error(self, capsys, monkeypatch, command):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("1,2\n3,5\n4,4\n"))
-        assert cli.main([*command, "--seed", "-1"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: --seed must be nonnegative, got -1\n"
 
     @pytest.mark.parametrize("resolution", ["1e-30", "1e-300"])
     @pytest.mark.parametrize(
@@ -749,11 +736,15 @@ class TestReadmeMatchesParser:
             if isinstance(action.choices, dict)
         ]
         options = {
-            flag for sub in subcommands.values() for flag in sub._option_string_actions
+            flag
+            for sub in subcommands.values()
+            for flag in sub._option_string_actions
+            if flag.startswith("--") and flag != "--help"
         }
         documented = set(re.findall(r"--[a-z][a-z-]*", section))
         assert documented
         assert documented <= options, sorted(documented - options)
+        assert options <= documented, sorted(options - documented)
 
 
 class TestReadmeMatchesLibrary:

@@ -372,7 +372,7 @@ def _by_name(report):
 
 class TestCheckFit:
     def test_clean_cloud_passes_every_check_in_report_order(self, seed4_cloud):
-        report = check_fit(seed4_cloud, 0.5, 0)
+        report = check_fit(seed4_cloud, 0.5)
         assert isinstance(report, tuple)
         for record in _by_name(report).values():
             assert record.status == "PASS", record
@@ -381,7 +381,7 @@ class TestCheckFit:
 
     def test_high_dimension_skips_with_reasons(self):
         rng = np.random.default_rng(8)
-        records = _by_name(check_fit(PointSet(rng.uniform(-1.0, 1.0, (30, 5))), 0.5, 0))
+        records = _by_name(check_fit(PointSet(rng.uniform(-1.0, 1.0, (30, 5))), 0.5))
         grid_reason = "grid oracle covers dim <= 3, input is 5"
         for name in ("grid-agreement", "grid-direction"):
             assert records[name] == CheckRecord(name, "SKIP", reason=grid_reason)
@@ -390,13 +390,24 @@ class TestCheckFit:
         )
         assert [r.status for r in records.values()][:4] == ["PASS"] * 4
 
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    @pytest.mark.parametrize("resolution", [0.0, -1.0, 20.0, math.nan])
+    def test_resolution_out_of_range_raises_before_fitting(self, monkeypatch, dim, resolution):
+        def no_fit(points):
+            raise AssertionError("check_fit fitted before validating resolution_deg")
+
+        monkeypatch.setattr(fit, "fit_tls_line", no_fit)
+        cloud = PointSet(np.random.default_rng(dim).uniform(-1.0, 1.0, (30, dim)))
+        with pytest.raises(ValueError, match=r"^resolution_deg must be in \(0, 10\], got"):
+            check_fit(cloud, resolution)
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_cross_skips_the_ambiguous_direction(self, dim):
         # Unit points on each axis, both ways: every direction fits equally
         # well, and the grid reads a gap a rounding below zero, which the
         # verdict's lower end (-1e-12 xi) accepts.
         axes = np.eye(dim)
-        records = _by_name(check_fit(PointSet(np.concatenate([axes, -axes])), 0.5, 0))
+        records = _by_name(check_fit(PointSet(np.concatenate([axes, -axes])), 0.5))
         assert records["grid-direction"] == CheckRecord(
             "grid-direction", "SKIP", reason="dominant direction is ambiguous"
         )
@@ -412,7 +423,7 @@ class TestCheckFit:
             return dataclasses.replace(grid, best_sq_distance=0.0)
 
         monkeypatch.setattr(fit, "grid_search_direction", zero_scoring)
-        record = _by_name(check_fit(seed4_cloud, 0.5, 0))["grid-agreement"]
+        record = _by_name(check_fit(seed4_cloud, 0.5))["grid-agreement"]
         assert record.status == "FAIL"
         assert record.measured < 0.0 < record.tol
 
@@ -433,6 +444,6 @@ class TestCheckFit:
         # dropped term near 1, a scatter perturbed by 1e-6 about 5e-7.
         if defect is not None:
             monkeypatch.setattr(fit, "stationarity_forms", defect)
-        record = _by_name(check_fit(seed4_cloud, 0.5, 0))["stationarity-forms"]
+        record = _by_name(check_fit(seed4_cloud, 0.5))["stationarity-forms"]
         assert lo <= record.measured <= hi
         assert (record.status, record.tol) == (status, 1e-9)

@@ -13,8 +13,8 @@ Writes a fixed, seeded set of input files into a temporary directory:
 
 On every file it runs, in this process through orthofit.cli.main, `fit` as
 table, csv and json with --per-point, `compare` as table, json and csv and
-with --dependent-col 0, and `check` at --resolution-deg 2 and at 0.5 with
---seed 3. Each run prints one line: the argv with the temporary directory
+with --dependent-col 0, and `check` at --resolution-deg 2 and at 0.5.
+Each run prints one line: the argv with the temporary directory
 stripped, the exit code, and the sha256 of stdout and of stderr. Warnings
 count as stderr, by category and message; an exception that escapes main
 counts as exit code "raised" with its type and message as stderr.
@@ -68,7 +68,7 @@ COMMANDS = (
     ("compare", "--format", "csv"),
     ("compare", "--dependent-col", "0"),
     ("check", "--resolution-deg", "2"),
-    ("check", "--resolution-deg", "0.5", "--seed", "3"),
+    ("check", "--resolution-deg", "0.5"),
 )
 
 
