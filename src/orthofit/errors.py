@@ -39,7 +39,7 @@ class NotSymmetric(OrthofitError):
 
 
 class NoConvergence(OrthofitError):
-    """An iterative solver exhausted its iteration budget before reaching tolerance."""
+    """An iterative solver exhausted its iteration budget before converging."""
 
 
 class RankDeficient(OrthofitError):

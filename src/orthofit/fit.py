@@ -116,8 +116,11 @@ def fit_tls_line(points: PointSet) -> LineFitResult:
     the origin. The reported total is the sum of these per-point squares
     rather than the algebraically equal difference of large aggregates, so
     collinear data comes out at the rounding floor instead of cancellation
-    noise. The fit takes no settings; the eigensolver's tolerance and sweep
-    budget are the constants solver.JACOBI_TOL and solver.MAX_SWEEPS.
+    noise. The fit takes no settings: the eigensolver stops at float64's
+    rounding floor, and its sweep budget is the constant solver.MAX_SWEEPS.
+    The line is built from the dominant column of eigen.eigenvectors by the
+    same normalization that gave eigen.direction, so line.direction and
+    eigen.direction are the same bytes.
 
     Raises:
         DegenerateInput: if all points coincide.
@@ -127,7 +130,7 @@ def fit_tls_line(points: PointSet) -> LineFitResult:
     centered, centroid_vec = center(points)
     moments = accumulate_scatter(centered)
     eigen = dominant_eigenpair(moments.scatter)
-    line = ParametricLine(anchor=centroid_vec, direction=eigen.direction)
+    line = ParametricLine(anchor=centroid_vec, direction=eigen.eigenvectors[:, 0])
     per_point = _rejection_sq(centered.points, line.direction)
     return LineFitResult(
         line=line,

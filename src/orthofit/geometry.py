@@ -89,19 +89,20 @@ def _symmetric_scaled(matrix) -> tuple[np.ndarray, int]:
     the one gate every eigensolver's input passes.
 
     In order: the matrix is validated (_as_array, 2-d and finite, then
-    square), scaled by the power of two that brings its largest entry into
-    [0.5, 1), checked for max|A - A^T| <= SYMMETRY_RTOL * max|A| on the
-    scaled copy, and symmetrized as (A + A^T) / 2. Nothing is added or
-    squared before the scaling, so no step can overflow or underflow at any
-    finite magnitude; the scaling is exact, so at ordinary magnitudes the
-    result is the unscaled symmetrized matrix times the power of two.
+    square and not empty), scaled by the power of two that brings its
+    largest entry into [0.5, 1), checked for
+    max|A - A^T| <= SYMMETRY_RTOL * max|A| on the scaled copy, and
+    symmetrized as (A + A^T) / 2. Nothing is added or squared before the
+    scaling, so no step can overflow or underflow at any finite magnitude;
+    the scaling is exact, so at ordinary magnitudes the result is the
+    unscaled symmetrized matrix times the power of two.
 
     Returns:
         (a, exp): the scaled symmetric matrix and the exponent; the input's
         symmetric part is ldexp(a, exp).
 
     Raises:
-        DimensionMismatch: if the input is not a 2-d array.
+        DimensionMismatch: if the input is not a 2-d array, or is 0 x 0.
         NonFinite: if an entry is NaN or infinite.
         NotSymmetric: if the input is not square or not symmetric; the
             message gives the unscaled max|A - A^T| and max|A|.
@@ -109,6 +110,8 @@ def _symmetric_scaled(matrix) -> tuple[np.ndarray, int]:
     a = _as_array(matrix, "matrix", (2,))
     if a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
+    if a.size == 0:
+        raise DimensionMismatch("matrix is empty")
     a, exp = _pow2_scaled(a)
     scale = float(np.max(np.abs(a)))
     skew = float(np.max(np.abs(a - a.T)))

@@ -4,11 +4,15 @@ The fitted direction is the eigenvector of the scatter matrix with the
 largest eigenvalue (equivalently, the smallest eigenvalue of the complement
 matrix; the two share eigenvectors). We use a cyclic-by-rows Jacobi
 iteration: it is deterministic, needs no external solver, and for the small
-dense matrices produced here converges in a handful of sweeps.
+dense matrices produced here converges in a handful of sweeps. It stops at
+float64's own rounding floor, with no tolerance to tune: a rotation is
+skipped when its entry is at most one ulp of the matrix's largest entry
+(Rutishauser, 1966), and the iteration ends after a sweep that skips every
+pair.
 
-Nothing here is configurable. The module constants JACOBI_TOL and
-MAX_SWEEPS fix the iteration's stopping rule and budget, FD_STEP the
-finite-difference step, and AMBIGUITY_GAP the ambiguity flag.
+Nothing here is configurable. The module constant MAX_SWEEPS fixes the
+iteration's sweep budget, FD_STEP the finite-difference step, and
+AMBIGUITY_GAP the ambiguity flag.
 """
 
 from __future__ import annotations
@@ -18,18 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, ZeroVector
+from .errors import DimensionMismatch, NoConvergence, ZeroVector
 from .geometry import _as_array, _canonical_signs, _freeze, _pow2_restored, _symmetric_scaled
+from .geometry import canonical_direction
 from .scatter import ScatterSummary
 
 # Relative gap (lam1 - lam2) / |lam1| below which the dominant eigenvector
 # is flagged as ambiguous.
 AMBIGUITY_GAP = 1e-8
-# Jacobi stops once the off-diagonal Frobenius norm is at most JACOBI_TOL
-# times the input's Frobenius norm, and gives up after MAX_SWEEPS full
-# cyclic sweeps; on 1000 seeded clouds with d from 2 to 12, no fit needed
-# more than 7.
-JACOBI_TOL = 1e-12
+# Jacobi gives up when its MAX_SWEEPS-th full cyclic sweep still rotates.
 MAX_SWEEPS = 64
 # Step of the central differences in finite_diff_gradient.
 FD_STEP = 1e-5
@@ -40,8 +41,10 @@ class EigenSolution:
     """Full spectrum of a symmetric matrix plus the dominant direction.
 
     Attributes:
-        direction: unit eigenvector for the largest eigenvalue, sign
-            canonicalized.
+        direction: unit eigenvector for the largest eigenvalue, the
+            first column of eigenvectors passed through
+            geometry.canonical_direction, the normalization ParametricLine
+            applies; a line built from that column has these bytes.
         rayleigh: Rayleigh quotient of direction with the input matrix.
         stationarity_residual: |A s - rayleigh s| for the returned direction.
         ambiguous: True when the top two eigenvalues are too close for the
@@ -62,11 +65,6 @@ class EigenSolution:
         _freeze(self, "direction", "spectrum", "eigenvectors")
 
 
-def _off_diag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
 def dominant_eigenpair(matrix) -> EigenSolution:
     """Full eigendecomposition of a symmetric matrix via cyclic Jacobi.
 
@@ -75,8 +73,10 @@ def dominant_eigenpair(matrix) -> EigenSolution:
     dominant eigenvector first. The rotation angle is computed from the
     smaller root of the annihilation quadratic, which keeps every rotation
     below 45 degrees and the iteration unconditionally stable. The
-    iteration has no settings: it stops at JACOBI_TOL and gives up after
-    MAX_SWEEPS sweeps.
+    iteration has no settings. A pair is skipped when |a_pq| <= eps / 2,
+    one ulp of the scaled matrix's largest entry, and the iteration
+    ends after a sweep that skips every pair; it gives up when the
+    MAX_SWEEPS-th sweep still rotates.
 
     The matrix and its eigenvectors are one (2d, d) array, the matrix on
     top and the accumulated rotations below, so a rotation turns columns p
@@ -88,13 +88,13 @@ def dominant_eigenpair(matrix) -> EigenSolution:
     The input passes one gate, geometry._symmetric_scaled: validated,
     scaled by the power of two that brings its largest entry into [0.5, 1),
     checked for symmetry and symmetrized, in that order. Everything runs on
-    that copy: the rotations, the stopping norms, the Rayleigh quotient and
-    the residual. The scaling is exact, so at ordinary magnitudes the bits
-    are those of the unscaled iteration. At any magnitude of a finite input
-    the norms cannot overflow, and only entries far below JACOBI_TOL of the
-    largest can underflow in them. The spectrum, the Rayleigh quotient and
-    the residual are scaled back by the same power of two
-    (geometry._pow2_restored); the eigenvectors need no scaling back.
+    that copy: the rotations, the skip test, the Rayleigh quotient and the
+    residual. The scaling is exact, so at ordinary magnitudes the bits are
+    those of the unscaled iteration, and the skip test's eps / 2 is
+    relative to the input's largest entry at any magnitude. The spectrum,
+    the Rayleigh quotient and the residual are scaled back by the same
+    power of two (geometry._pow2_restored); the eigenvectors need no
+    scaling back.
 
     Args:
         matrix: square symmetric array (checked to geometry.SYMMETRY_RTOL
@@ -102,33 +102,32 @@ def dominant_eigenpair(matrix) -> EigenSolution:
             iterating).
 
     Raises:
-        DimensionMismatch: if the input is not a 2-d array.
+        DimensionMismatch: if the input is not a 2-d array, or is 0 x 0.
         NonFinite: if an entry is NaN or infinite, or if an eigenvalue,
             the Rayleigh quotient or the residual scaled back leaves the
             float64 range (a finite matrix with entries near the float64
             maximum can have eigenvalues beyond it).
         NotSymmetric: if the input is not square or not symmetric.
-        NoConvergence: if MAX_SWEEPS sweeps leave the off-diagonal norm
-            above JACOBI_TOL relative to the input's Frobenius norm.
+        NoConvergence: if the MAX_SWEEPS-th sweep still rotates a pair.
     """
     a0, exp = _symmetric_scaled(matrix)
     d = a0.shape[0]
     av = np.concatenate([a0, np.eye(d)])
     a, v = av[:d], av[d:]
-    threshold = JACOBI_TOL * float(np.linalg.norm(a0))
 
     for _ in range(MAX_SWEEPS):
-        if _off_diag_norm(a) <= threshold:
-            break
+        rotated = False
         for p in range(d - 1):
             for q in range(p + 1, d):
                 apq = a[p, q]
-                if apq == 0.0:
+                # Skip entries at most eps / 2: one ulp of the largest
+                # entry, which _symmetric_scaled puts in [0.5, 1).
+                if abs(apq) <= 2.0**-53:
                     continue
+                rotated = True
                 # t = sign(tau) / (|tau| + sqrt(tau^2 + 1)) with
                 # tau = diff / (2 apq), multiplied through by 2 apq so that
-                # neither tau nor tau^2 is formed: both overflow when apq is
-                # tiny against diff.
+                # neither tau nor tau^2 is formed.
                 diff = a[q, q] - a[p, p]
                 if diff == 0.0:
                     t = 1.0
@@ -146,26 +145,21 @@ def dominant_eigenpair(matrix) -> EigenSolution:
                 a[p, p] = app - t * apq
                 a[q, q] = aqq + t * apq
                 a[p, q] = a[q, p] = 0.0
-    if _off_diag_norm(a) > threshold:
-        raise NoConvergence(
-            f"off-diagonal norm {math.ldexp(_off_diag_norm(a), exp):g} still above "
-            f"{math.ldexp(threshold, exp):g} after {MAX_SWEEPS} sweeps"
-        )
+        if not rotated:
+            break
+    else:
+        raise NoConvergence(f"the Jacobi iteration still rotates after {MAX_SWEEPS} sweeps")
 
     eigenvalues = np.diag(a).copy()
     order = np.argsort(-eigenvalues, kind="stable")
     spectrum = eigenvalues[order]
     vectors = _canonical_signs(v[:, order])
 
-    direction = vectors[:, 0].copy()
+    direction = canonical_direction(vectors[:, 0])
     rayleigh = float(direction @ (a0 @ direction))
     residual = float(np.linalg.norm(a0 @ direction - rayleigh * direction))
-    if d >= 2:
-        tiny = np.finfo(np.float64).tiny
-        rel_gap = (spectrum[0] - spectrum[1]) / max(abs(spectrum[0]), tiny)
-        ambiguous = bool(rel_gap < AMBIGUITY_GAP)
-    else:
-        ambiguous = False
+    top = max(abs(spectrum[0]), np.finfo(np.float64).tiny)
+    ambiguous = d >= 2 and bool((spectrum[0] - spectrum[1]) / top < AMBIGUITY_GAP)
 
     scaled_back = _pow2_restored([rayleigh, residual, *spectrum], exp)
     return EigenSolution(
@@ -178,9 +172,12 @@ def dominant_eigenpair(matrix) -> EigenSolution:
     )
 
 
-def _rows_and_norms(s) -> tuple[np.ndarray, np.ndarray]:
-    """Directions as (k, d) rows and their squared norms, none of them zero."""
+def _rows_and_norms(summary: ScatterSummary, s) -> tuple[np.ndarray, np.ndarray]:
+    """Directions as (k, d) rows of summary's dimension and their squared
+    norms, none of them zero."""
     vecs = np.atleast_2d(_as_array(s, "direction", (1, 2)))
+    if vecs.shape[1] != summary.dim:
+        raise DimensionMismatch(f"direction has dimension {vecs.shape[1]}, expected {summary.dim}")
     ss = np.einsum("ij,ij->i", vecs, vecs)
     if not np.all(ss > 0.0):
         raise ZeroVector("direction has zero length")
@@ -198,9 +195,10 @@ def quadratic_objective(summary: ScatterSummary, s):
     the BLAS thread count.
 
     Raises:
+        DimensionMismatch: if s's length is not summary.dim.
         ZeroVector: if s, or any row of it, has zero norm.
     """
-    vecs, ss = _rows_and_norms(s)
+    vecs, ss = _rows_and_norms(summary, s)
     values = np.einsum("ij,jk,ik->i", vecs, summary.complement, vecs) / ss
     return float(values[0]) if np.ndim(s) == 1 else values
 
@@ -213,6 +211,10 @@ def finite_diff_gradient(summary: ScatterSummary, s) -> np.ndarray:
     estimate shares no formula with it and cross-checks it. One
     quadratic_objective call scores the 2d points s + h e_i and s - h e_i,
     with the fixed step h = FD_STEP.
+
+    Raises:
+        DimensionMismatch: if s's length is not summary.dim.
+        ZeroVector: if a probe point has zero norm.
     """
     vec = _as_array(s, "direction")
     steps = FD_STEP * np.eye(vec.shape[0])
@@ -237,9 +239,10 @@ def stationarity_forms(summary: ScatterSummary, s) -> tuple[np.ndarray, np.ndarr
     on the stack it sits in or on the BLAS thread count.
 
     Raises:
+        DimensionMismatch: if s's length is not summary.dim.
         ZeroVector: if s, or any row of it, has zero norm.
     """
-    vecs, ss = _rows_and_norms(s)
+    vecs, ss = _rows_and_norms(summary, s)
     cs = np.einsum("jk,ik->ij", summary.complement, vecs)
     os_ = np.einsum("jk,ik->ij", summary.scatter, vecs)
     scs = np.einsum("ij,ij->i", vecs, cs)

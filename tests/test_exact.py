@@ -16,14 +16,24 @@ two bounds, evaluated at 60 digits:
 
 1. Davis-Kahan: sin(angle) <= |S s - rho s| / (rho - lam2) for a unit s
    with Rayleigh quotient rho > lam2; the right side also bounds the
-   angle itself at the small angles met here.
-2. The solver's stopping rule: Jacobi stops once the off-diagonal norm is
-   at most JACOBI_TOL |S|_F, so the angle is at most
-   JACOBI_TOL |S|_F / (lam1 - lam2), plus 64 eps for the rounding of the
-   rotations, the scatter and the final normalization.
+   angle itself at the small angles met here. FLOOR, far below any float64
+   angle, is added to it: where the fit returns an exact eigenvector the
+   residual is exactly 0, while the reference, rounded to 60 digits, reads
+   an angle near 1e-60.
+2. The solver's skip test: Jacobi leaves an off-diagonal entry only when
+   it is at most eps / 2 of a matrix whose largest entry is at least 1/2,
+   that is at most eps max|S|. The dominant column of the rotated matrix
+   then has an off-diagonal part of norm at most sqrt(d - 1) eps max|S|,
+   which for d <= 3 is at most sqrt(2) eps |S|_F, and that residual over
+   the gap bounds the angle by Davis-Kahan on the rotated matrix. So the
+   angle is at most c eps |S|_F / (lam1 - lam2) + 64 eps, with C_SKIP = 2
+   for c: the margin over sqrt(2) covers the rotations' and the scatter's
+   own rounding, a few eps |S| that the gap amplifies alike, and 64 eps
+   the rounding of the final normalization.
 
 Each eigenvalue enters the bounds at the end of its bracket that makes the
-bound larger. Run as a script, the module prints the worst angle per family.
+bound larger. Run as a script, the module prints, per family, the worst
+angle and the worst ratio of the angle to the skip-test bound.
 """
 
 from __future__ import annotations
@@ -38,7 +48,6 @@ import pytest
 
 from orthofit.fit import fit_tls_line
 from orthofit.geometry import PointSet
-from orthofit.solver import JACOBI_TOL
 
 PRECISION = Context(prec=60)
 # Bisection stops when a bracket is this share of the trace wide.
@@ -47,6 +56,9 @@ BRACKET_WIDTH = Fraction(1, 10**45)
 # truncated): a fixed vector that no family below is orthogonal to.
 START = (Fraction(1), Fraction("0.6180339887498948482"), Fraction("0.3819660112501051518"))
 N_POINTS = 64
+# The Davis-Kahan bound's floor, and c of the skip-test bound.
+FLOOR = Decimal("1e-50")
+C_SKIP = 2
 SEEDS = (0, 1, 2)
 
 
@@ -235,10 +247,10 @@ def judge(case):
     with localcontext(PRECISION):
         # The reference is an eigenvector to within the bracket's width.
         assert _residual(m, vector, lam1_hi) <= Decimal("1e-40") * trace
-        davis_kahan = _residual(m, s, rho) / _decimal(rho - lam2_hi)
+        davis_kahan = _residual(m, s, rho) / _decimal(rho - lam2_hi) + FLOOR
         frobenius = Decimal(sum(x * x for row in m for x in row)).sqrt()
-        stopping = Decimal(JACOBI_TOL) * frobenius / _decimal(lam1_lo - lam2_hi)
-        stopping += 64 * Decimal(sys.float_info.epsilon)
+        eps = Decimal(sys.float_info.epsilon)
+        stopping = C_SKIP * eps * frobenius / _decimal(lam1_lo - lam2_hi) + 64 * eps
     return angle(s, vector), davis_kahan, stopping
 
 
@@ -267,6 +279,9 @@ if __name__ == "__main__":
     worst = {}
     for case in CASES:
         key = _case_id(case).rsplit("-", 2)[0]
-        worst[key] = max(worst.get(key, Decimal(0)), judge(case)[0])
-    for key, theta in worst.items():
-        print(f"{key:<12} {float(theta):.3g}")
+        theta, _, stopping = judge(case)
+        old_theta, old_ratio = worst.get(key, (Decimal(0), Decimal(0)))
+        worst[key] = (max(old_theta, theta), max(old_ratio, theta / stopping))
+    print(f"{'family':<12} {'angle':>9} {'ratio':>9}")
+    for key, (theta, ratio) in worst.items():
+        print(f"{key:<12} {float(theta):9.3g} {float(ratio):9.3g}")

@@ -134,6 +134,31 @@ class TestTlsFit:
         xi = float(np.sum(base.eigen.spectrum))
         assert abs(moved.total_sq_distance - base.total_sq_distance) <= 1e-9 * xi
 
+    def test_permutation_and_sign_flip_equivariance(self):
+        # Permuting and negating coordinates is exact on the points and on
+        # their scatter, so the direction may move only by the rounding of
+        # rotations taken in another order.
+        for seed in range(300):
+            rng = np.random.default_rng([seed, 7])
+            d = 2 + seed % 5
+            n = int(rng.integers(10, 200))
+            spread = rng.uniform(0.1, 2.0, d) * rng.standard_normal((n, d))
+            pts = spread @ random_rotation(rng, d) + rng.uniform(-5.0, 5.0, d)
+            perm, signs = rng.permutation(d), rng.choice([-1.0, 1.0], d)
+            base = fit_tls_line(PointSet(pts)).line.direction
+            moved = fit_tls_line(PointSet(pts[:, perm] * signs)).line.direction
+            expected = canonical_direction(base[perm] * signs)
+            assert np.max(np.abs(moved - expected)) <= 1e-13, seed
+
+    def test_eigen_and_line_directions_are_the_same_bytes(self):
+        # The line is built from the solver's dominant column by the
+        # normalization that gave eigen.direction, so a fit has one direction.
+        for seed in range(1000):
+            rng = np.random.default_rng(seed)
+            pts, _, _ = line_cloud(rng, int(rng.integers(5, 60)), 2 + seed % 11)
+            result = fit_tls_line(PointSet(pts))
+            assert result.eigen.direction.tobytes() == result.line.direction.tobytes()
+
     def test_scaling_covariance(self):
         rng = np.random.default_rng(7)
         pts, _, _ = line_cloud(rng, 30, 2)

@@ -235,3 +235,7 @@ class TestCubicEigenvalues:
             cubic_eigenvalues(np.eye(2))
         with pytest.raises(DimensionMismatch):
             cubic_eigenvalues(np.eye(4))
+
+    def test_rejects_empty(self):
+        with pytest.raises(DimensionMismatch, match="matrix is empty"):
+            cubic_eigenvalues(np.zeros((0, 0)))

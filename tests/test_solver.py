@@ -18,6 +18,7 @@ from orthofit.geometry import (
     PointSet,
     _canonical_signs,
     _symmetric_scaled,
+    canonical_direction,
     center,
     line_distances_sq,
 )
@@ -170,6 +171,10 @@ class TestDominantEigenpair:
         with pytest.raises(NoConvergence):
             dominant_eigenpair(a)
 
+    def test_empty_matrix_is_typed(self):
+        with pytest.raises(DimensionMismatch, match="matrix is empty"):
+            dominant_eigenpair(np.zeros((0, 0)))
+
     def test_direction_is_canonical(self):
         rng = np.random.default_rng(47)
         for _ in range(20):
@@ -183,19 +188,20 @@ class TestDominantEigenpair:
 def per_entry_jacobi(matrix):
     """The cyclic Jacobi with one scalar update per matrix entry, the
     reference dominant_eigenpair's column rotations must match bit for bit;
-    returns (spectrum, eigenvectors, rayleigh, residual) as it reports them."""
+    returns (spectrum, eigenvectors, direction, rayleigh, residual) as it
+    reports them. It skips a pair whose entry is at most eps / 2 and stops
+    after a sweep that skips every pair."""
     a0, exp = _symmetric_scaled(matrix)
     a, d = a0.copy(), a0.shape[0]
     v = np.eye(d)
-    threshold = solver.JACOBI_TOL * float(np.linalg.norm(a))
     for _ in range(solver.MAX_SWEEPS):
-        if solver._off_diag_norm(a) <= threshold:
-            break
+        rotated = False
         for p in range(d - 1):
             for q in range(p + 1, d):
                 apq = a[p, q]
-                if apq == 0.0:
+                if abs(apq) <= np.finfo(np.float64).eps / 2:
                     continue
+                rotated = True
                 diff = a[q, q] - a[p, p]
                 if diff == 0.0:
                     t = 1.0
@@ -218,13 +224,15 @@ def per_entry_jacobi(matrix):
                 vp, vq = v[:, p].copy(), v[:, q].copy()
                 v[:, p] = c * vp - s * vq
                 v[:, q] = s * vp + c * vq
+        if not rotated:
+            break
     order = np.argsort(-np.diag(a), kind="stable")
     vectors = _canonical_signs(v[:, order])
-    top = vectors[:, 0]
+    top = canonical_direction(vectors[:, 0])
     rayleigh = float(top @ (a0 @ top))
     residual = float(np.linalg.norm(a0 @ top - rayleigh * top))
     spectrum = np.ldexp(np.diag(a)[order], exp)
-    return spectrum, vectors, math.ldexp(rayleigh, exp), math.ldexp(residual, exp)
+    return spectrum, vectors, top, math.ldexp(rayleigh, exp), math.ldexp(residual, exp)
 
 
 def rotation_cases():
@@ -253,12 +261,43 @@ def test_column_rotations_match_the_per_entry_sweep_bit_for_bit():
     # scales 2^+-500, zero, diagonal, tied and nearly diagonal matrices.
     for m in rotation_cases():
         sol = dominant_eigenpair(m)
-        spectrum, vectors, rayleigh, residual = per_entry_jacobi(m)
+        spectrum, vectors, direction, rayleigh, residual = per_entry_jacobi(m)
         assert sol.spectrum.tobytes() == spectrum.tobytes()
         assert sol.eigenvectors.tobytes() == vectors.tobytes()
-        assert sol.direction.tobytes() == vectors[:, 0].tobytes()
+        assert sol.direction.tobytes() == direction.tobytes()
         scalars = np.array([sol.rayleigh, sol.stationarity_residual])
         assert scalars.tobytes() == np.array([rayleigh, residual]).tobytes()
+
+
+def adversarial_matrices():
+    """Symmetric matrices of d 2-30 that are hard on a Jacobi iteration:
+    random, rank 1 and 2, a cluster of equal eigenvalues, spectra graded
+    down to 1e-20 and small integers, each scaled by 2^-1000, 1 and 2^1000."""
+    for d in (2, 3, 5, 8, 12, 20, 30):
+        for seed in range(3):
+            rng = np.random.default_rng([d, seed])
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            u, w = rng.standard_normal(d), rng.standard_normal(d)
+            cluster = np.where(np.arange(d) <= d // 2, 1.0, rng.uniform(0.0, 2.0, d))
+            for m in (
+                random_symmetric(rng, d),
+                np.outer(u, u),
+                np.outer(u, u) - 0.5 * np.outer(w, w),
+                (q * cluster) @ q.T,
+                (q * np.logspace(0.0, -20.0, d)) @ q.T,
+                random_symmetric(rng, d).round(),
+            ):
+                for k in (-1000, 0, 1000):
+                    yield np.ldexp(0.5 * (m + m.T), k)
+
+
+def test_adversarial_matrices_converge():
+    # Every matrix reaches a sweep with nothing left to rotate within
+    # MAX_SWEEPS (NoConvergence would fail the test), at LAPACK's spectrum.
+    for m in adversarial_matrices():
+        sol = dominant_eigenpair(m)
+        ref = np.linalg.eigvalsh(m)[::-1]
+        assert np.max(np.abs(sol.spectrum - ref)) <= 1e-12 * np.max(np.abs(m))
 
 
 class TestObjective:
@@ -395,6 +434,14 @@ class TestStackedDiagnostics:
             quadratic_objective(summary, stack)
         with pytest.raises(ZeroVector):
             stationarity_forms(summary, stack)
+
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_direction_of_another_dimension_is_typed(self, length):
+        summary = summary_for(55, 10, 3)
+        s = np.ones(length)
+        for call in (quadratic_objective, finite_diff_gradient, stationarity_forms):
+            with pytest.raises(DimensionMismatch, match="direction has dimension"):
+                call(summary, s)
 
     def test_rows_are_validated(self):
         summary = summary_for(53, 10, 2)
