@@ -36,12 +36,7 @@ from .solver import (
     dominant_eigenpair,
     finite_diff_gradient,
     quadratic_objective,
-    stationarity_forms,
 )
-
-# Seed of the 50 probe directions at which check_fit compares the two
-# stationarity forms.
-PROBE_SEED = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,13 +289,14 @@ def check_fit(points: PointSet, resolution_deg: float) -> tuple[CheckRecord, ...
     """Fit the cloud and verify the fit by routes that share none of its code.
 
     The records come in report order: stationarity-residual, gradient-norm,
-    stationarity-forms, objective-consistency, grid-agreement,
-    grid-direction and spectrum-cubic. The grid checks run in dimensions 2
-    and 3 at resolution_deg, the closed-form spectrum in dimension 3; each
-    is a SKIP elsewhere, and grid-direction is one too when the dominant
-    direction is ambiguous. Tolerances scale with the cloud's total squared
-    norm xi. The two stationarity forms are compared at 50 probe directions
-    drawn from the fixed seed PROBE_SEED.
+    objective-consistency, grid-agreement and spectrum-cubic. The grid
+    check runs in dimensions 2 and 3 at resolution_deg, the closed-form
+    spectrum in dimension 3; each is a SKIP elsewhere. Tolerances scale
+    with the cloud's total squared norm xi. objective-consistency compares
+    five values of the minimum objective: the summed distances, the
+    quadratic form at the direction, xi minus the Rayleigh quotient, xi
+    minus the spectrum's largest value, and the spectrum's sum less its
+    first value.
 
     Raises:
         ValueError: for a resolution_deg outside (0, 10], in every dimension
@@ -321,20 +317,16 @@ def check_fit(points: PointSet, resolution_deg: float) -> tuple[CheckRecord, ...
     scatter, exp = _pow2_scaled(moments.scatter)
     scaled = ScatterSummary(math.ldexp(xi, -exp), scatter, moments.n_points)
     gradient_norm = np.linalg.norm(finite_diff_gradient(scaled, direction))
-    # Each probe's gap between the two forms is measured against the bound
-    # xi |s|^3 that |C|, |O| <= xi put on both, not against the forms
-    # themselves, which vanish near an eigenvector.
-    probes = np.random.default_rng(PROBE_SEED).standard_normal((50, points.dim))
-    forms = np.stack(stationarity_forms(scaled, probes))
-    bound = scaled.total_sq_norm * np.linalg.norm(probes, axis=1) ** 3
-    worst = float(np.max(np.linalg.norm(forms[0] - forms[1], axis=1) / bound))
     objective = math.ldexp(quadratic_objective(scaled, direction), exp)
     routes = [result.total_sq_distance, objective, xi - eigen.rayleigh]
+    spectrum = eigen.spectrum.tolist()
+    # The spectrum gives the minimum twice more: xi less its largest value,
+    # and its sum less its first value, the sum of the lower eigenvalues.
+    routes += [xi - max(spectrum), math.fsum(spectrum) - spectrum[0]]
     disagreement = max(abs(a - b) for a in routes for b in routes)
     report = [
         _judged("stationarity-residual", eigen.stationarity_residual, 1e-8 * xi),
         _judged("gradient-norm", math.ldexp(float(gradient_norm), exp), 1e-6 * xi),
-        _judged("stationarity-forms", worst, 1e-9),
         _judged("objective-consistency", disagreement, 1e-9 * xi),
     ]
 
@@ -345,18 +337,9 @@ def check_fit(points: PointSet, resolution_deg: float) -> tuple[CheckRecord, ...
         quantization = spread * math.sin(math.radians(resolution_deg)) ** 2
         tol = max(1e-4 * result.total_sq_distance, quantization, 1e-12 * xi)
         report.append(_judged("grid-agreement", gap, tol, lo=-1e-12 * xi))
-        if eigen.ambiguous:
-            reason = "dominant direction is ambiguous"
-            report.append(CheckRecord("grid-direction", "SKIP", reason=reason))
-        else:
-            rejection_sq = _rejection_sq(direction[None], grid.best_direction)[0]
-            dot = abs(float(direction @ grid.best_direction))
-            angle_deg = math.degrees(math.atan2(math.sqrt(rejection_sq), dot))
-            report.append(_judged("grid-direction", angle_deg, max(0.5, 2.0 * resolution_deg)))
     else:
         reason = f"grid oracle covers dim <= 3, input is {points.dim}"
         report.append(CheckRecord("grid-agreement", "SKIP", reason=reason))
-        report.append(CheckRecord("grid-direction", "SKIP", reason=reason))
 
     if points.dim == 3:
         measured = np.max(np.abs(eigen.spectrum - cubic_eigenvalues(moments.scatter)))

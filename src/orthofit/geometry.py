@@ -271,12 +271,11 @@ def _rejection_sq(y: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Squared norm of each row's rejection y - (y.s)s from the unit s.
 
     That is the squared orthogonal distance of each row of y from the line
-    through the origin along s. line_distances_sq, fit_tls_line (on its
-    centered cloud) and the grid-direction angle of the CLI's check (the
-    fit's direction against the grid's) all measure through it. For unit
-    s this equals |y|^2 - (y.s)^2, but the rejection is formed without
-    subtracting two nearly equal quantities, so points close to the line
-    come out with full relative accuracy instead of cancellation noise.
+    through the origin along s. line_distances_sq and fit_tls_line (on its
+    centered cloud) both measure through it. For unit s this equals
+    |y|^2 - (y.s)^2, but the rejection is formed without subtracting two
+    nearly equal quantities, so points close to the line come out with full
+    relative accuracy instead of cancellation noise.
     """
     r = y - (y @ s)[:, None] * s
     return np.einsum("ij,ij->i", r, r)

@@ -1,11 +1,8 @@
 """Shared helpers for the test suite."""
 
-import dataclasses
 import math
 
 import numpy as np
-
-from orthofit import solver
 
 
 def angle_between(u, v) -> float:
@@ -54,28 +51,3 @@ def line_cloud(
     t = rng.uniform(-t_spread, t_spread, n)
     points = anchor + t[:, None] * direction + sigma * rng.standard_normal((n, dim))
     return points, direction, anchor
-
-
-# Planted defects in one of the two stationarity forms: each stands in for
-# solver.stationarity_forms where check_fit reads it, and check's
-# stationarity-forms line must FAIL on every one of them.
-
-
-def sign_flip(summary, s):
-    """The scatter form with its sign flipped."""
-    form_c, form_s = solver.stationarity_forms(summary, s)
-    return form_c, -form_s
-
-
-def dropped_term(summary, s):
-    """The scatter form without its (s^T Omega s) s term."""
-    form_c, _ = solver.stationarity_forms(summary, s)
-    ss = np.einsum("ij,ij->i", s, s)
-    return form_c, -ss[:, None] * np.einsum("jk,ik->ij", summary.scatter, s)
-
-
-def perturbed_scatter(summary, s):
-    """The scatter form evaluated on a scatter perturbed by 1e-6."""
-    form_c, _ = solver.stationarity_forms(summary, s)
-    bent = dataclasses.replace(summary, scatter=summary.scatter * (1.0 + 1e-6))
-    return form_c, solver.stationarity_forms(bent, s)[1]

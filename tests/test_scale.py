@@ -18,6 +18,7 @@ symmetrized, and eigenvalues that leave float64 raise NonFinite.
 """
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -26,7 +27,7 @@ from conftest import angle_between
 
 from orthofit import cli
 from orthofit.errors import DegenerateInput, NonFinite
-from orthofit.fit import fit_tls_line
+from orthofit.fit import check_fit, fit_tls_line
 from orthofit.geometry import PointSet
 from orthofit.oracle import cubic_eigenvalues
 from orthofit.solver import dominant_eigenpair
@@ -137,20 +138,21 @@ def test_power_of_two_scales_are_exact(unscaled):
 def test_check_holds_across_the_fit_scale_range(tmp_path, capsys):
     # Every check passes, with no floating-point warning, on one cloud
     # scaled by 2^k across the fit's range, up to k = 508, its top (2^509
-    # overflows the moments); the scale-free stationarity-forms ratio reads
-    # the same at every k.
+    # overflows the moments); objective-consistency's disagreement, a
+    # difference of squares, scales exactly by 4^k.
     base_file = tmp_path / "base.csv"
     gen = ["gen", "--n", "200", "--dim", "3", "--sigma", "0.1", "--seed", "1"]
     assert cli.main([*gen, "--output", str(base_file)]) == 0
     base = cli.parse_points_text(base_file.read_text().splitlines()).points
     cloud = tmp_path / "cloud.csv"
-    forms = set()
+    disagreements = set()
     for k in [*range(-480, 481, 8), 507, 508]:
         rows = np.ldexp(base, k).tolist()
         cloud.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main(["check", "--input", str(cloud)]) == 0, k
-        report = capsys.readouterr().out.splitlines()
-        forms.update(line.split()[2] for line in report if " stationarity-forms " in line)
-    assert len(forms) == 1, forms
+            records = check_fit(PointSet(rows), 0.5)
+        (consistency,) = [r for r in records if r.name == "objective-consistency"]
+        disagreements.add(math.ldexp(consistency.measured, -2 * k))
+    assert len(disagreements) == 1 and 0.0 not in disagreements, disagreements

@@ -83,10 +83,14 @@ class TestDominantEigenpair:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("tiny", [1e-200, 1e-310])
-    def test_tiny_off_diagonal_rotates_without_overflow(self, tiny):
-        # diff / (2 apq) would overflow here: 1e-310 is subnormal.
+    def test_entries_under_the_skip_test_are_left_alone(self, tiny):
+        # Both tiny entries, one subnormal, are far below eps / 2 of the
+        # scaled matrix, so no rotation turns the third axis, and none
+        # could overflow: only the (0, 1) pair rotates, with |diff| and
+        # |2 apq| both of order one.
         a = np.array([[1.0, 1.0, tiny], [1.0, 2.0, 0.0], [tiny, 0.0, 3.0]])
         sol = dominant_eigenpair(a)
+        assert sol.direction.tobytes() == np.array([0.0, 0.0, 1.0]).tobytes()
         ref = np.linalg.eigvalsh(a)[::-1]
         assert np.max(np.abs(sol.spectrum - ref)) <= 1e-14
 
