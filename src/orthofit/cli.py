@@ -22,6 +22,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from itertools import islice
 
 import numpy as np
@@ -66,13 +67,12 @@ def parse_points_text(lines) -> PointSet:
     Blank lines and lines starting with '#' are skipped. The dimension is
     set by the first data row; every later row must match it.
 
-    The lines are read in blocks of _PARSE_BLOCK. Each block's kept lines
-    are split into rows and converted by one numpy.array call, which reads
-    each str token with Python's own float() grammar, so the accepted
-    tokens and their values are exactly those of a per-token float().
-    A block that fails any check is walked again line by line to raise
-    the error, so every message and line number is the same as a
-    line-by-line parser's.
+    The lines are read in blocks of _PARSE_BLOCK, and each block's kept
+    lines are converted by one C-level call (see _convert_block). Every
+    token is read with Python's own float() grammar, so the accepted tokens
+    and their values are exactly those of a per-token float(). A block that
+    fails any check is walked again line by line to raise the error, so
+    every message and line number is the same as a line-by-line parser's.
 
     Raises:
         ParseError: empty input, a bad token, a non-finite value, or a
@@ -85,12 +85,10 @@ def parse_points_text(lines) -> PointSet:
     first_lineno = 1
     while block := list(islice(source, _PARSE_BLOCK)):
         stripped = [raw.strip() for raw in block]
-        rows = [
-            s.replace(",", " ").split() for s in stripped if s and not s.startswith("#")
-        ]
-        if rows:
-            dim = dim or len(rows[0])
-            blocks.append(_convert_block(rows, dim, stripped, first_lineno))
+        kept = [s.replace(",", " ") for s in stripped if s and not s.startswith("#")]
+        if kept:
+            dim = dim or len(kept[0].split())
+            blocks.append(_convert_block(kept, dim, stripped, first_lineno))
         first_lineno += len(block)
     n_rows = sum(len(b) for b in blocks)
     if n_rows == 0:
@@ -100,22 +98,40 @@ def parse_points_text(lines) -> PointSet:
     return PointSet(np.concatenate(blocks))
 
 
-def _convert_block(
-    rows: list[list[str]], width: int, stripped: list[str], first_lineno: int
-) -> np.ndarray:
-    """The rows as a (len(rows), width) array.
+def _loadtxt_rows(kept: list[str]) -> np.ndarray:
+    """numpy's C tokenizer and float parser. It splits on the same
+    whitespace as str.split and accepts a subset of float()'s tokens with
+    the same values, but it drops whitespace-only lines and rejects
+    Unicode digits and underscores, which float() reads."""
+    with warnings.catch_warnings():
+        # A block of whitespace-only lines warns "input contained no data".
+        warnings.simplefilter("ignore")
+        return np.loadtxt(kept, comments=None, ndmin=2)
 
-    When width is below 2, a row has another width, or a token is not a
-    finite float, the block's stripped lines are walked instead, and the
-    first error is raised with its line number in the whole input.
+
+def _float_rows(kept: list[str]) -> np.ndarray:
+    """numpy.array on the str tokens, which reads each with float()."""
+    return np.array([line.split() for line in kept], dtype=np.float64)
+
+
+def _convert_block(
+    kept: list[str], width: int, stripped: list[str], first_lineno: int
+) -> np.ndarray:
+    """The kept lines, commas already spaces, as a (len(kept), width) array.
+
+    _loadtxt_rows is tried first, then _float_rows; a result is taken only
+    when its shape is exactly (len(kept), width) and every value is finite.
+    When width is below 2 or neither result is taken, the block's stripped
+    lines are walked instead, and the first error is raised with its line
+    number in the whole input.
     """
     if width >= 2:
-        try:
-            values = np.array(rows, dtype=np.float64)
-        except ValueError:
-            pass
-        else:
-            if values.shape[1] == width and np.isfinite(values).all():
+        for convert in (_loadtxt_rows, _float_rows):
+            try:
+                values = convert(kept)
+            except ValueError:
+                continue
+            if values.shape == (len(kept), width) and np.isfinite(values).all():
                 return values
     for lineno, line in enumerate(stripped, start=first_lineno):
         if not line or line.startswith("#"):
@@ -214,22 +230,28 @@ def _machine(value) -> str:
 def cmd_fit(args) -> int:
     result = fit_tls_line(_read_points(args.input))
     doc = _fit_document(result)
-    per_point = result.per_point_sq.tolist()
     if args.format == "json":
+        text = json.dumps(doc, indent=2)
         if args.per_point:
-            doc["per_point_sq"] = per_point
-        lines = [json.dumps(doc, indent=2)]
+            # json.dumps(indent=2) of doc plus per_point_sq, spliced. Safe: each value
+            # is at most moments.total_sq_norm, which accumulate_scatter checks is
+            # finite, so repr never writes the inf that json would write as Infinity.
+            values = ",\n    ".join(map(float.__repr__, result.per_point_sq.tolist()))
+            text = f'{text[:-2]},\n  "per_point_sq": [\n    {values}\n  ]\n}}'
+        lines = [text]
     elif args.format == "csv":
         lines = [f"# {key}: {_machine(value)}" for key, value in doc.items()]
         lines.append("index,sq_distance")
-        lines.extend(f"{i},{v!r}" for i, v in enumerate(per_point))
+        lines.extend(f"{i},{v!r}" for i, v in enumerate(result.per_point_sq.tolist()))
     else:
         rows = {"n_points": result.n_points, "dim": result.line.dim, **doc}
         width = max(len(key) for key in rows)
         lines = [f"{key.replace('_', '-'):<{width}}  {_human(v)}" for key, v in rows.items()]
         if args.per_point:
             lines += ["", "index  sq-distance"]
-            lines.extend(f"{i:>5}  {v:.12g}" for i, v in enumerate(per_point))
+            lines.extend(
+                f"{i:>5}  {v:.12g}" for i, v in enumerate(result.per_point_sq.tolist())
+            )
     _write_output(args.output, "\n".join(lines) + "\n")
     return 0
 
@@ -273,7 +295,9 @@ def cmd_gen(args) -> int:
         f"# anchor: {_repr_vec(anchor)}",
         "# t-range: -1.0,1.0",
     ]
-    lines.extend(",".join(map(repr, row)) for row in points.tolist())
+    # One flat repr pass; zip over dim references to one iterator cuts it into rows.
+    tokens = map(float.__repr__, points.ravel().tolist())
+    lines.extend(map(",".join, zip(*[tokens] * args.dim)))
     _write_output(args.output, "\n".join(lines) + "\n")
     return 0
 

@@ -15,13 +15,17 @@ def test_two_runs_print_the_same_lines():
     # directory stripped, the lines must match byte for byte.
     first = census.census(FILES)
     assert first == census.census(FILES)
-    assert len(first) == len(FILES) * len(census.COMMANDS)
+    # Every file's runs, and the gen run that wrote the one gen file.
+    assert len(first) == len(FILES) * len(census.COMMANDS) + 1
+    gen_lines = [line for line in first if line.startswith("gen ")]
+    assert len(gen_lines) == 1
+    assert gen_lines[0].split("  ")[0].endswith(" --output gen_d3_a1e3_s0.1.csv")
     assert not any(tempfile.gettempdir() in line for line in first)
     codes = {}
     for line in first:
         argv, code, out_sha, err_sha = line.split("  ")
         assert len(out_sha) == len(err_sha) == 64
-        codes.setdefault(argv.split()[2], set()).add(code)
+        codes.setdefault(argv.split()[-1 if argv.startswith("gen ") else 2], set()).add(code)
     assert codes == {
         "gen_d3_a1e3_s0.1.csv": {"0"},
         "gen_d2_a0_s0_x2^500.csv": {"0"},

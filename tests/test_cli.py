@@ -550,12 +550,40 @@ class TestFormatting:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1:] == ["index,tls_sq", "0,0.0", "1,0.0", "2,0.0"]
 
-    def test_gen_rows_are_shortest_round_trip(self, capsys):
-        args = ["gen", "--n", "500", "--dim", "4", "--seed", "3", "--anchor=-0.0,0,1e6,1e-300"]
+    def test_fit_json_per_point_is_json_dumps(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        noisy = rng.standard_normal((50, 3)) * [4.0, 1.0, 0.25]
+        clouds = {
+            "zeros": np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [5.0, 0.0]]),
+            "integral": np.array([[x, y] for x in (0.0, 10.0, 20.0) for y in (1.0, -1.0)]),
+            "subnormal": np.array([[0.0, 0.0], [1.0, 1e-160], [2.0, -1e-160], [3.0, 0.0]]),
+            "noisy": noisy,
+            "noisy_x2^500": np.ldexp(noisy, 500),
+        }
+        seen = []
+        for name, points in clouds.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_text("".join(",".join(map(repr, row)) + "\n" for row in points.tolist()))
+            assert cli.main(["fit", "--input", str(path), "--format", "json", "--per-point"]) == 0
+            result = fit_tls_line(PointSet(points))
+            values = result.per_point_sq.tolist()
+            full_doc = {**cli._fit_document(result), "per_point_sq": values}
+            assert capsys.readouterr().out == json.dumps(full_doc, indent=2) + "\n"
+            seen += values
+        assert 0.0 in seen
+        assert any(0.0 < v < sys.float_info.min for v in seen)
+        assert any(v > 0.0 and v.is_integer() for v in seen)
+        assert max(seen) > 1e290
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 12])
+    def test_gen_rows_are_shortest_round_trip(self, capsys, dim):
+        anchor = ",".join((["-0.0", "0", "1e6", "1e-300"] * 3)[:dim])
+        args = ["gen", "--n", "500", "--dim", str(dim), "--seed", "3", f"--anchor={anchor}"]
         assert cli.main(args) == 0
         rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
         assert len(rows) == 500
         for row in rows:
+            assert len(row.split(",")) == dim
             assert row == ",".join(repr(float(tok)) for tok in row.split(","))
 
 

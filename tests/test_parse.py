@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,71 @@ class TestAcceptedText:
             if seed % 4 == 0:
                 lines[int(np.random.default_rng(seed).integers(25))] = "1,2,3,x\n"
             assert_same_outcome(lines)
+
+
+# Text numpy.loadtxt, the parser's first conversion tier, reads otherwise
+# than the reference: each case as a row of a 3-d cloud.
+LOADTXT_CASES = {
+    # loadtxt drops a whitespace-only line; the reference counts 0 coordinates.
+    "separators_only": ",,,",
+    "trailing_comment": "1,2,3 # note",
+    "glued_comment": "1,2,3#note",
+    "trailing_separator": "1,2,3,",
+    "nbsp": "1\xa02\xa03",
+    "en_quad": "1\u20002\u20003",
+    "form_feed": "1\x0c2\x0c3",
+    "file_separator": "1\x1c2\x1c3",
+    # Valid input that loadtxt rejects; float() reads it.
+    "arabic_digits": "\u0661\u0662,3,4",
+    "underscore": "1_0,2,3",
+}
+
+
+class TestConversionTiers:
+    """Each case alone, and inside a block of ordinary rows on either side
+    of a block boundary, gives the reference's outcome."""
+
+    @pytest.mark.parametrize("lineno", [5, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("case", LOADTXT_CASES)
+    def test_inside_a_block(self, case, lineno):
+        lines = data_lines(BLOCK + 50)
+        lines[lineno - 1] = LOADTXT_CASES[case] + "\n"
+        assert_same_outcome(lines)
+
+    def test_each_case_alone(self):
+        outcomes = {
+            case: assert_same_outcome(["1,2,3\n", text + "\n", "4,5,6\n"])
+            for case, text in LOADTXT_CASES.items()
+        }
+        assert outcomes == {
+            "separators_only": "line 2: expected 3 coordinates, got 0",
+            "trailing_comment": "line 2: '#' is not a number",
+            "glued_comment": "line 2: '3#note' is not a number",
+            "trailing_separator": None,
+            "nbsp": None,
+            "en_quad": None,
+            "form_feed": None,
+            "file_separator": None,
+            "arabic_digits": None,
+            "underscore": None,
+        }
+
+    @pytest.mark.parametrize("case", ["arabic_digits", "underscore"])
+    def test_float_tier_reads_what_loadtxt_rejects(self, case):
+        kept = [LOADTXT_CASES[case].replace(",", " "), "4 5 6"]
+        with pytest.raises(ValueError):
+            cli._loadtxt_rows(kept)
+        assert cli._convert_block(kept, 3, kept, 1).tolist() == [
+            [float(t) for t in line.split()] for line in kept
+        ]
+
+    def test_separator_only_block_warns_nothing(self, monkeypatch):
+        monkeypatch.setattr(cli, "_PARSE_BLOCK", 2)
+        lines = ["1,2\n", "3,4\n", ",,\n", " , \n"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert assert_same_outcome(lines) == "line 3: expected 2 coordinates, got 0"
+        assert caught == []
 
 
 def data_lines(n: int) -> list[str]:

@@ -15,7 +15,9 @@ On every file it runs, in this process through orthofit.cli.main, `fit` as
 table, csv and json with --per-point, `compare` as table, json and csv and
 with --dependent-col 0, and `check` at --resolution-deg 2 and at 0.5.
 Each run prints one line: the argv with the temporary directory
-stripped, the exit code, and the sha256 of stdout and of stderr. Warnings
+stripped, the exit code, and the sha256 of stdout and of stderr. The
+runs on a `gen` file come after one line for the `gen` run that wrote it,
+with the sha256 of the bytes written in place of stdout's. Warnings
 count as stderr, by category and message; an exception that escapes main
 counts as exit code "raised" with its type and message as stderr.
 
@@ -81,26 +83,33 @@ def _scaled_text(text: str, k: int) -> str:
     )
 
 
-def write_inputs(directory: Path) -> list[Path]:
-    """Write the census's input files into directory, in census order."""
-    paths = []
+def write_inputs(directory: Path) -> list[tuple[Path, str | None]]:
+    """Write the census's input files into directory, in census order.
+
+    Each file comes with the census line of the gen run that wrote it, or
+    None for a file written here.
+    """
+    prefix = f"{directory}/"
+    inputs: list[tuple[Path, str | None]] = []
     cases = itertools.product(DIMS, ANCHORS, SIGMAS)
     for seed, (dim, (anchor_name, anchor), sigma) in enumerate(cases):
         path = directory / f"gen_d{dim}_a{anchor_name}_s{sigma}.csv"
         argv = ["gen", "--n", "300", "--dim", str(dim), "--seed", str(seed)]
         argv += ["--sigma", sigma, "--anchor", ",".join([repr(anchor)] * dim)]
-        if cli.main([*argv, "--output", str(path)]) != 0:
-            raise RuntimeError(f"gen failed: {argv}")
-        paths.append(path)
+        argv += ["--output", str(path)]
+        code, _, err = _run(argv)
+        if code != "0":
+            raise RuntimeError(f"gen failed: {argv}: {err}")
+        inputs.append((path, _line(prefix, argv, code, path.read_bytes(), err)))
         for k in SCALES:
             copy = path.with_name(f"{path.stem}_x2^{k}.csv")
             copy.write_text(_scaled_text(path.read_text(), k))
-            paths.append(copy)
+            inputs.append((copy, None))
     for name, text in MALFORMED.items():
         path = directory / f"{name}.csv"
         path.write_text(text)
-        paths.append(path)
-    return paths
+        inputs.append((path, None))
+    return inputs
 
 
 def _run(argv: list[str]) -> tuple[str, str, str]:
@@ -121,25 +130,32 @@ def _run(argv: list[str]) -> tuple[str, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _line(prefix: str, argv: list[str], code: str, out: bytes, err: str) -> str:
+    """A census line: argv and err with prefix stripped, the exit code, and
+    the sha256 of out and of err."""
+    err_bytes = err.replace(prefix, "").encode()
+    digests = (hashlib.sha256(data).hexdigest() for data in (out, err_bytes))
+    return "  ".join([" ".join(argv).replace(prefix, ""), code, *digests])
+
+
 def census(only: list[str] | None = None) -> list[str]:
-    """One line per run: argv, exit code, sha256 of stdout and of stderr.
+    """One line per run: argv, exit code, sha256 of stdout (or of the file
+    gen wrote) and of stderr.
 
     only, if given, keeps the files whose name contains one of its strings.
     """
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         prefix = tmp + "/"
-        for path in write_inputs(Path(tmp)):
+        for path, gen_line in write_inputs(Path(tmp)):
             if only and not any(part in path.name for part in only):
                 continue
+            if gen_line is not None:
+                lines.append(gen_line)
             for command in COMMANDS:
                 argv = [command[0], "--input", str(path), *command[1:]]
                 code, out, err = _run(argv)
-                digests = (
-                    hashlib.sha256(text.replace(prefix, "").encode()).hexdigest()
-                    for text in (out, err)
-                )
-                lines.append("  ".join([" ".join(argv).replace(prefix, ""), code, *digests]))
+                lines.append(_line(prefix, argv, code, out.replace(prefix, "").encode(), err))
     return lines
 
 
