@@ -22,7 +22,6 @@ import io
 import json
 import math
 import sys
-import warnings
 from itertools import islice
 
 import numpy as np
@@ -70,9 +69,9 @@ def parse_points_text(lines) -> PointSet:
     The lines are read in blocks of _PARSE_BLOCK, and each block's kept
     lines are converted by one C-level call (see _convert_block). Every
     token is read with Python's own float() grammar, so the accepted tokens
-    and their values are exactly those of a per-token float(). A block that
-    fails any check is walked again line by line to raise the error, so
-    every message and line number is the same as a line-by-line parser's.
+    and their values are exactly those of a per-token float(). A block the
+    C-level call does not take is walked line by line instead, so every
+    message and line number is the same as a line-by-line parser's.
 
     Raises:
         ParseError: empty input, a bad token, a non-finite value, or a
@@ -103,15 +102,7 @@ def _loadtxt_rows(kept: list[str]) -> np.ndarray:
     whitespace as str.split and accepts a subset of float()'s tokens with
     the same values, but it drops whitespace-only lines and rejects
     Unicode digits and underscores, which float() reads."""
-    with warnings.catch_warnings():
-        # A block of whitespace-only lines warns "input contained no data".
-        warnings.simplefilter("ignore")
-        return np.loadtxt(kept, comments=None, ndmin=2)
-
-
-def _float_rows(kept: list[str]) -> np.ndarray:
-    """numpy.array on the str tokens, which reads each with float()."""
-    return np.array([line.split() for line in kept], dtype=np.float64)
+    return np.loadtxt(kept, comments=None, ndmin=2)
 
 
 def _convert_block(
@@ -119,24 +110,27 @@ def _convert_block(
 ) -> np.ndarray:
     """The kept lines, commas already spaces, as a (len(kept), width) array.
 
-    _loadtxt_rows is tried first, then _float_rows; a result is taken only
-    when its shape is exactly (len(kept), width) and every value is finite.
-    When width is below 2 or neither result is taken, the block's stripped
-    lines are walked instead, and the first error is raised with its line
-    number in the whole input.
+    _loadtxt_rows converts the block when width is at least 2 and no kept
+    line is blank, and its result is taken only when its shape is exactly
+    (len(kept), width) and every value is finite. A blank kept line is
+    always an error, but loadtxt would drop it, and a line loadtxt splits
+    in two could make up the count. Any other block is walked line by line
+    with float() per token: the first error is raised with its line number
+    in the whole input, and a block without one is returned as walked.
     """
-    if width >= 2:
-        for convert in (_loadtxt_rows, _float_rows):
-            try:
-                values = convert(kept)
-            except ValueError:
-                continue
+    if width >= 2 and True not in map(str.isspace, kept):
+        try:
+            values = _loadtxt_rows(kept)
+        except ValueError:
+            pass
+        else:
             if values.shape == (len(kept), width) and np.isfinite(values).all():
                 return values
+    rows = []
     for lineno, line in enumerate(stripped, start=first_lineno):
         if not line or line.startswith("#"):
             continue
-        count = 0
+        row = []
         for token in line.replace(",", " ").split():
             try:
                 value = float(token)
@@ -144,14 +138,15 @@ def _convert_block(
                 raise ParseError(f"line {lineno}: {token!r} is not a number") from None
             if not math.isfinite(value):
                 raise ParseError(f"line {lineno}: non-finite value {token!r}")
-            count += 1
-        if count != width:
-            raise ParseError(f"line {lineno}: expected {width} coordinates, got {count}")
-        if count < 2:
+            row.append(value)
+        if len(row) != width:
+            raise ParseError(f"line {lineno}: expected {width} coordinates, got {len(row)}")
+        if width < 2:
             raise ParseError(
-                f"line {lineno}: points need at least 2 coordinates, got {count}"
+                f"line {lineno}: points need at least 2 coordinates, got {width}"
             )
-    raise AssertionError("a block failed conversion but every line parses")
+        rows.append(row)
+    return np.array(rows, dtype=np.float64)
 
 
 def _read_points(path: str) -> PointSet:

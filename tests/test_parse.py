@@ -177,13 +177,29 @@ class TestConversionTiers:
         }
 
     @pytest.mark.parametrize("case", ["arabic_digits", "underscore"])
-    def test_float_tier_reads_what_loadtxt_rejects(self, case):
+    def test_walk_reads_what_loadtxt_rejects(self, case):
         kept = [LOADTXT_CASES[case].replace(",", " "), "4 5 6"]
         with pytest.raises(ValueError):
             cli._loadtxt_rows(kept)
         assert cli._convert_block(kept, 3, kept, 1).tolist() == [
             [float(t) for t in line.split()] for line in kept
         ]
+
+    def test_split_line_cannot_make_up_a_dropped_line(self, monkeypatch):
+        # loadtxt drops the ',' row, and a tokenizer that ended a row at the
+        # '\r' would read line 2 as two rows: the count would still match.
+        lines = ["1,2\n", "3,4\r5,6\n", ",\n"]
+        message = "line 2: expected 2 coordinates, got 4"
+        assert assert_same_outcome(lines) == message
+        proc = run_cli("fit", stdin_text="".join(lines))
+        assert (proc.returncode, proc.stderr) == (3, f"error: {message}\n")
+        loadtxt = cli._loadtxt_rows
+        monkeypatch.setattr(
+            cli,
+            "_loadtxt_rows",
+            lambda kept: loadtxt([row for line in kept for row in line.split("\r")]),
+        )
+        assert assert_same_outcome(lines) == message
 
     def test_separator_only_block_warns_nothing(self, monkeypatch):
         monkeypatch.setattr(cli, "_PARSE_BLOCK", 2)
