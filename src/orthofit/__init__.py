@@ -36,13 +36,12 @@ from .geometry import (
     line_distances_sq,
 )
 from .oracle import GridSearchResult, cubic_eigenvalues, grid_search_direction
-from .scatter import ScatterSummary, accumulate_scatter, cross_matrix, rejection_matrix
+from .scatter import ScatterSummary, accumulate_scatter
 from .solver import (
     EigenSolution,
     dominant_eigenpair,
     finite_diff_gradient,
     quadratic_objective,
-    stationarity_forms,
 )
 
 __version__ = "0.1.0"
@@ -69,7 +68,6 @@ __all__ = [
     "accumulate_scatter",
     "canonical_direction",
     "center",
-    "cross_matrix",
     "cubic_eigenvalues",
     "dominant_eigenpair",
     "finite_diff_gradient",
@@ -78,8 +76,6 @@ __all__ = [
     "grid_search_direction",
     "line_distances_sq",
     "quadratic_objective",
-    "rejection_matrix",
-    "stationarity_forms",
     "total_orthogonal_distance",
     "vertical_residual_sq",
 ]

@@ -266,8 +266,6 @@ def cmd_gen(args) -> int:
         raw = _parse_vector_flag(args.direction, "--direction", args.dim)
     else:
         raw = rng.standard_normal(args.dim)
-        while not raw.any():
-            raw = rng.standard_normal(args.dim)
     direction = _unit(raw, "--direction")
 
     if args.anchor is not None:

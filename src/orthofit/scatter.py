@@ -7,11 +7,14 @@ unit direction s is
 
 where xi is the total squared norm of the cloud and Omega its scatter
 (sum of outer products). This module builds those matrices; the solver
-module turns them into a direction.
+module turns them into a direction. Moments whose subnormal rounding could
+move that direction by more than the fit's own rounding bound are refused:
+the floor, min_total_sq_norm, grows with the cloud's size as n d^2 2^-1027.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,11 +22,18 @@ import numpy as np
 from .errors import DegenerateInput, DimensionMismatch, NonFinite
 from .geometry import PointSet, _as_array, _freeze, _readonly
 
-# The smallest total squared norm accumulate_scatter accepts. Below it the
-# subnormal spacing 2^-1074 exceeds 2^-26 of the trace, so the moments keep
-# too few digits to fix a direction: the test cloud fitted 2.4e-6 rad off
-# at a trace of 2^-1051.8 and 0.17 rad off at 2^-1065.4.
-MIN_TOTAL_SQ_NORM = 2.0**-1048
+
+def min_total_sq_norm(n_points: int, dim: int) -> float:
+    """The smallest total squared norm accumulate_scatter accepts for an
+    (n_points, dim) cloud: n d^2 2^-1027.
+
+    A product that lands below the normal range rounds by up to 2^-1075, so
+    the subnormal rounding of the scatter is at most n d 2^-1075 in norm.
+    It must stay under 16 eps lambda_1, the rounding the fit allows itself
+    (16 eps / relgap on the direction, Davis-Kahan), and lambda_1 >= trace / d;
+    that holds while the trace is at least n d^2 2^-1075 / (16 eps).
+    """
+    return math.ldexp(n_points * dim * dim, -1027)
 
 
 def cross_matrix(a) -> np.ndarray:
@@ -108,9 +118,10 @@ def accumulate_scatter(centered: PointSet) -> ScatterSummary:
         NonFinite: if the moments overflow float64, as they do once the
             cloud's spread is near the square root of the float64 maximum.
         DegenerateInput: if the total squared norm is below
-            MIN_TOTAL_SQ_NORM (2^-1048): all points sit at the origin, which
-            leaves every direction equally good, or so close to it that the
-            moments are subnormal and hold too few digits to fix one.
+            min_total_sq_norm(n, d), n d^2 2^-1027: all points sit at the
+            origin, which leaves every direction equally good, or so close
+            to it that the moments' subnormal rounding could move the
+            direction by more than the fit's rounding bound.
     """
     pts = centered.points
     with np.errstate(over="ignore", invalid="ignore"):
@@ -118,10 +129,11 @@ def accumulate_scatter(centered: PointSet) -> ScatterSummary:
         omega = np.einsum("ij,ik->jk", pts, pts)
     if not (np.isfinite(total_sq_norm) and np.isfinite(omega).all()):
         raise NonFinite("the second moments overflow float64")
-    if total_sq_norm < MIN_TOTAL_SQ_NORM:
+    floor = min_total_sq_norm(*pts.shape)
+    if total_sq_norm < floor:
         raise DegenerateInput(
-            f"the points' total squared norm {total_sq_norm:g} is below 2^-1048, "
-            "too small for float64 to fix a direction"
+            f"the points' total squared norm {total_sq_norm:g} is below n d^2 2^-1027 "
+            f"= {floor:g}, too small for float64 to fix a direction"
             if total_sq_norm
             else "all points coincide; every direction fits equally well"
         )

@@ -4,6 +4,37 @@ import math
 
 import numpy as np
 
+# c eps with c = 16: the rounding unit of every invariance gate.
+C_EPS = 16.0 * float(np.finfo(np.float64).eps)
+
+
+def invariance_bounds(result, offset: float = 0.0) -> tuple[float, float, float]:
+    """(direction, anchor, total) bounds on how far rounding the cloud of the
+    fit `result`, at a distance offset from it, may move the fit.
+
+    With relgap = (lam1 - lam2) / lam1 and spread = sqrt(lam1 / n), that
+    rounding perturbs the scatter by about u lam1, u = c eps (1 + offset /
+    spread), so the direction turns by at most u / relgap (Davis and Kahan
+    1970), the anchor moves by at most u spread and the total by u xi."""
+    lam1, lam2 = result.eigen.spectrum[:2]
+    spread = math.sqrt(lam1 / result.n_points)
+    unit = C_EPS * (1.0 + offset / spread)
+    return unit * lam1 / (lam1 - lam2), unit * spread, unit * result.moments.total_sq_norm
+
+
+def equivariance_ratio(base, moved, a, shift=0.0, scale: float = 1.0) -> float:
+    """The worst of moved's direction, anchor and total errors over their
+    invariance_bounds, moved fitting base's cloud mapped by x -> scale *
+    (a @ x) + shift, a orthogonal, at |base anchor| + |shift| / scale."""
+    offset = float(np.linalg.norm(base.line.anchor) + np.linalg.norm(shift) / scale)
+    angle, anchor, total = invariance_bounds(base, offset)
+    anchor_gap = moved.line.anchor - (scale * (a @ base.line.anchor) + shift)
+    return max(
+        angle_between(moved.line.direction, a @ base.line.direction) / angle,
+        float(np.linalg.norm(anchor_gap)) / (scale * anchor),
+        abs(moved.total_sq_distance - scale**2 * base.total_sq_distance) / (scale**2 * total),
+    )
+
 
 def angle_between(u, v) -> float:
     """Angle in radians between two directions, ignoring sign.

@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 from orthofit.errors import DegenerateInput
 from orthofit.fit import fit_tls_line
 from orthofit.geometry import PointSet, center
-from orthofit.scatter import MIN_TOTAL_SQ_NORM, accumulate_scatter
+from orthofit.scatter import accumulate_scatter, min_total_sq_norm
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -80,9 +80,9 @@ def test_scatter_and_total_sq_norm_match_loop(pts):
     try:
         summary = accumulate_scatter(centered)
     except DegenerateInput:
-        # The kernel's total is below MIN_TOTAL_SQ_NORM; the loop's must be
+        # The kernel's total is below min_total_sq_norm; the loop's must be
         # too, within rounding.
-        assert total_sq_norm <= MIN_TOTAL_SQ_NORM + sum_tol(n, row_sq_bound)
+        assert total_sq_norm <= min_total_sq_norm(*y.shape) + sum_tol(n, row_sq_bound)
         return
     assert abs(summary.total_sq_norm - total_sq_norm) <= sum_tol(n, row_sq_bound)
     entry_bound = float(np.max(np.abs(y))) ** 2
