@@ -1,8 +1,10 @@
 """Shared helpers for the test suite."""
 
+import collections
 import math
 
 import numpy as np
+import pytest
 
 # c eps with c = 16: the rounding unit of every invariance gate.
 C_EPS = 16.0 * float(np.finfo(np.float64).eps)
@@ -36,6 +38,33 @@ def equivariance_ratio(base, moved, a, shift=0.0, scale: float = 1.0) -> float:
     )
 
 
+@pytest.fixture(scope="module")
+def record():
+    """record(transform, ratio) returns ratio and keeps each transform's worst
+    ratio to its bound and its case count, printed at the module's teardown."""
+    worst = collections.defaultdict(lambda: [0.0, 0])
+
+    def keep(transform: str, ratio: float) -> float:
+        worst[transform][:] = max(worst[transform][0], ratio), worst[transform][1] + 1
+        return ratio
+
+    yield keep
+    print(f"\n{'transform':<28} {'worst ratio':>11} {'cases':>6}")
+    for transform, (ratio, cases) in worst.items():
+        print(f"{transform:<28} {ratio:11.3g} {cases:6d}")
+
+
+def scaled_bytes(moved, base, k) -> bool:
+    """moved is base scaled by 2^k exactly."""
+    return (
+        moved.line.direction.tobytes() == base.line.direction.tobytes()
+        and np.array_equal(moved.line.anchor, np.ldexp(base.line.anchor, k))
+        and np.array_equal(moved.eigen.spectrum, np.ldexp(base.eigen.spectrum, 2 * k))
+        and moved.eigen.stationarity_residual
+        == math.ldexp(base.eigen.stationarity_residual, 2 * k)
+    )
+
+
 def angle_between(u, v) -> float:
     """Angle in radians between two directions, ignoring sign.
 
@@ -61,6 +90,17 @@ def random_rotation(rng: np.random.Generator, dim: int) -> np.ndarray:
     if np.linalg.det(q) < 0.0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def gapped_cloud(dim: int, digits: int, seed: int) -> np.ndarray:
+    """10-99 points about the origin whose scatter has eigenvalues n times
+    1, 1 - relgap, (1 - relgap) / 2, ... along random axes; relgap 10^-digits."""
+    rng = np.random.default_rng([dim, seed, digits])
+    relgap, n = 10.0**-digits, int(rng.integers(10, 100))
+    z = rng.standard_normal((n, dim))
+    u = np.linalg.qr(z - z.mean(axis=0))[0]
+    lam = np.concatenate([[1.0], (1.0 - relgap) * 0.5 ** np.arange(dim - 1)])
+    return (u * np.sqrt(n * lam)) @ random_rotation(rng, dim).T
 
 
 def line_cloud(

@@ -17,64 +17,20 @@ that over the gap lam1 - lam2. With one constant c = 16 and relgap =
 
 Anchors move by at most c eps (spread + offset) and totals by c eps (1 +
 offset / spread) xi, offset being the cloud's distance from the origin.
-At every 2^k with k in [-1100, 1100] and every finite 10^e the fit meets
-its bound or raises DegenerateInput (moments under the floor
-scatter.min_total_sq_norm) or NonFinite. The explicit baseline keeps its
-coefficients to 1e-14 under exact translations and 2^k scaling. With -s
-the module prints each transform's worst error-to-bound ratio and cases.
+This module runs every transform on 105 seeded clouds; test_translation.py
+holds exact translations, and test_scale.py every 2^k with k in [-1100,
+1100] and every finite 10^e, to the same bounds. With -s each module prints
+each transform's worst error-to-bound ratio and cases.
 """
-
-import collections
-import contextlib
-import json
-import math
-import warnings
 
 import numpy as np
 import pytest
-from conftest import angle_between, equivariance_ratio, invariance_bounds, line_cloud
-from conftest import random_rotation
+from conftest import equivariance_ratio, gapped_cloud, random_rotation, scaled_bytes
 
-from orthofit import cli
-from orthofit.errors import DegenerateInput, NonFinite
-from orthofit.fit import check_fit, fit_lse_explicit, fit_tls_line
-from orthofit.geometry import PointSet, _canonical_signs, canonical_direction
+from orthofit.fit import fit_tls_line
+from orthofit.geometry import PointSet, _canonical_signs
 
 ROUNDING = ("rotations", "permutations", "row-order", "decimal-scales", "rounding-translations")
-
-
-@pytest.fixture(scope="module")
-def record():
-    """record(transform, ratio) returns ratio and keeps each transform's worst
-    ratio to its bound and its case count, printed at the module's teardown."""
-    worst = collections.defaultdict(lambda: [0.0, 0])
-
-    def keep(transform: str, ratio: float) -> float:
-        worst[transform][:] = max(worst[transform][0], ratio), worst[transform][1] + 1
-        return ratio
-
-    yield keep
-    print(f"\n{'transform':<28} {'worst ratio':>11} {'cases':>6}")
-    for transform, (ratio, cases) in worst.items():
-        print(f"{transform:<28} {ratio:11.3g} {cases:6d}")
-
-
-def gapped_cloud(dim: int, digits: int, seed: int) -> np.ndarray:
-    """10-99 points about the origin whose scatter has eigenvalues n times
-    1, 1 - relgap, (1 - relgap) / 2, ... along random axes; relgap 10^-digits."""
-    rng = np.random.default_rng([dim, seed, digits])
-    relgap, n = 10.0**-digits, int(rng.integers(10, 100))
-    z = rng.standard_normal((n, dim))
-    u = np.linalg.qr(z - z.mean(axis=0))[0]
-    lam = np.concatenate([[1.0], (1.0 - relgap) * 0.5 ** np.arange(dim - 1)])
-    return (u * np.sqrt(n * lam)) @ random_rotation(rng, dim).T
-
-
-def axis_cloud() -> np.ndarray:
-    """500 points along (1, 2, 3) with t in [-1, 1] and noise 0.1."""
-    rng = np.random.default_rng(0)
-    t = rng.uniform(-1.0, 1.0, 500)
-    return t[:, None] * np.array([1.0, 2.0, 3.0]) + 0.1 * rng.standard_normal((500, 3))
 
 
 @pytest.fixture(scope="module")
@@ -82,17 +38,6 @@ def seeded():
     """(cloud, fit) for d = 2 to 8, relgap 1 to 1e-12 and three seeds."""
     clouds = [gapped_cloud(d, 3 * g, s) for d in range(2, 9) for g in range(5) for s in range(3)]
     return [(x, fit_tls_line(PointSet(x))) for x in clouds]
-
-
-def scaled_bytes(moved, base, k) -> bool:
-    """moved is base scaled by 2^k exactly."""
-    return (
-        moved.line.direction.tobytes() == base.line.direction.tobytes()
-        and np.array_equal(moved.line.anchor, np.ldexp(base.line.anchor, k))
-        and np.array_equal(moved.eigen.spectrum, np.ldexp(base.eigen.spectrum, 2 * k))
-        and moved.eigen.stationarity_residual
-        == math.ldexp(base.eigen.stationarity_residual, 2 * k)
-    )
 
 
 def test_sign_flips_and_powers_of_two_keep_the_bytes(seeded, record):
@@ -128,191 +73,3 @@ def test_seeded_clouds_meet_the_bound(seeded, record, transform):
         moved = scale * (moved @ a.T) + shift
         ratio = equivariance_ratio(base, fit_tls_line(PointSet(moved)), a, shift, scale)
         assert record(transform, ratio) <= 1.0, i
-
-
-@pytest.mark.parametrize("offset", (1e3, 1e6, 1e9, 1e12, 1e15))
-def test_exact_translations_meet_the_bound(record, offset):
-    # Q: 10-300 points in 2-6 dimensions about o. Each coordinate of Q is
-    # within a factor of two of o's, so Q - o is exact (Sterbenz lemma) and
-    # fit(Q), fit(Q - o) see the same geometry. The explicit baseline centers
-    # by the same rule, and keeps its coefficients under exact 2^k scaling.
-    for seed in range(100):
-        rng = np.random.default_rng(seed)
-        n, dim = int(rng.integers(10, 301)), int(rng.integers(2, 7))
-        near_cloud = line_cloud(rng, n, dim, sigma=0.05, t_spread=1.0)[0]
-        o = offset * rng.choice([-1.0, 1.0], dim)
-        q = near_cloud + o
-        shifted = q - o
-        assert np.array_equal(shifted + o, q)
-        far, near = fit_tls_line(PointSet(q)), fit_tls_line(PointSet(shifted))
-        angle, _, total = invariance_bounds(near)
-        turn = angle_between(far.line.direction, near.line.direction) / angle
-        drift = abs(far.total_sq_distance - near.total_sq_distance) / total
-        assert record("exact translations", max(turn, drift)) <= 1.0, seed
-        assert np.all(np.abs(far.line.anchor - (near.line.anchor + o)) <= np.spacing(offset))
-        # Taken on the centered cloud, the total is xi - rayleigh at any offset.
-        xi = far.moments.total_sq_norm
-        aggregate = abs(far.total_sq_distance - (xi - far.eigen.rayleigh))
-        assert record("total = xi - rayleigh", aggregate / invariance_bounds(far)[2]) <= 1.0
-        if offset > 1e12:
-            continue  # an ulp of 1e15 is 0.125: the explicit fit is rank deficient
-        near_explicit = fit_lse_explicit(PointSet(shifted))
-        w, explicit = near_explicit.coefficients, fit_lse_explicit(PointSet(q))
-        k = (-500, -100, 100, 500)[seed % 4]
-        scaled = fit_lse_explicit(PointSet(np.ldexp(shifted, k))).coefficients
-        for moved in (explicit.coefficients, scaled):
-            gap = np.linalg.norm(moved - w) / np.linalg.norm(w)
-            assert record("explicit: translation, 2^k", gap / 1e-14) <= 1.0, seed
-        # y - o_dep = w . (x - o_keep) + b_near on the far cloud.
-        expected = near_explicit.offset + o[-1] - w @ o[:-1]
-        slack = 16.0 * np.spacing(offset) * (1.0 + np.sum(np.abs(w)))
-        assert abs(explicit.offset - expected) <= slack
-
-
-SWEEP_CLOUDS = {"axis": axis_cloud, "d2": lambda: gapped_cloud(2, 6, 0)}
-
-
-def sweep(record, transform, x, scale, exponents):
-    """(base fit, {exponent: fit}) of x scaled by scale(x, exponent) at each
-    exponent: each fit meets the direction bound, the rest raise typed."""
-    base, fits = fit_tls_line(PointSet(x)), {}
-    for exponent in exponents:
-        with np.errstate(over="ignore"):
-            scaled = scale(x, exponent)
-        with contextlib.suppress(DegenerateInput, NonFinite):
-            fits[exponent] = fit_tls_line(PointSet(scaled))
-            angle = angle_between(fits[exponent].line.direction, base.line.direction)
-            assert record(transform, angle / invariance_bounds(base)[0]) <= 1.0, exponent
-    return base, fits
-
-
-@pytest.mark.parametrize("cloud", SWEEP_CLOUDS)
-def test_every_scale_fits_within_the_bound_or_raises(record, cloud):
-    # From k near -510 down the moments are subnormal; the fit must raise
-    # there, not drift past the bound.
-    x = SWEEP_CLOUDS[cloud]()
-    base, fits = sweep(record, "2^k, k in [-1100, 1100]", x, np.ldexp, range(-1100, 1101))
-    for k in range(-480, 481):
-        assert k in fits and scaled_bytes(fits[k], base, k), k
-    _, fits = sweep(record, "10^e, every finite e", x, lambda x, e: x * 10.0**e, range(-323, 309))
-    if cloud == "axis":
-        # Below 10^-154 the trace falls under n d^2 2^-1027 (2^-1014.9 here).
-        assert sorted(fits) == list(range(-154, 153))
-        for moved in fits.values():
-            assert angle_between(moved.line.direction, base.line.direction) <= 1e-15
-
-
-def write_cloud(path, rows):
-    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
-
-
-def gen(path, *flags):
-    assert cli.main(["gen", *flags, "--output", str(path)]) == 0
-
-
-def test_cli_holds_across_the_fit_scale_range(tmp_path, capsys, record):
-    # Below the range `fit` exits 2 with one error line. Across it every
-    # check passes, with no warning, on one cloud scaled by 2^k up to k = 508
-    # (2^509 overflows the moments); objective-consistency's disagreement, a
-    # difference of squares, scales exactly by 4^k (the grid's resolution
-    # does not enter it, so the library run uses a coarse one). At the top,
-    # four rows whose scatter entry 1.6e308 overflows A + A^T of the raw
-    # scatter fit like the rows divided by 1e153: fit, compare and check
-    # exit 0 and print no warning and no Infinity.
-    cloud = tmp_path / "cloud.csv"
-    for e in (-155, -160, -162):
-        scaled = axis_cloud() * 10.0**e
-        with pytest.raises(DegenerateInput, match=r"below n d\^2 2\^-1027"):
-            fit_tls_line(PointSet(scaled))
-        write_cloud(cloud, scaled.tolist())
-        assert cli.main(["fit", "--input", str(cloud)]) == 2, e
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: "), err
-    gen(cloud, "--n", "200", "--dim", "3", "--sigma", "0.1", "--seed", "1")
-    base = cli.parse_points_text(cloud.read_text().splitlines()).points
-    disagreements = set()
-    for k in [*range(-480, 481, 8), 507, 508]:
-        rows = np.ldexp(base, k).tolist()
-        write_cloud(cloud, rows)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert cli.main(["check", "--input", str(cloud)]) == 0, k
-            records = check_fit(PointSet(rows), 10.0)
-        (consistency,) = [r for r in records if r.name == "objective-consistency"]
-        disagreements.add(math.ldexp(consistency.measured, -2 * k))
-    assert len(disagreements) == 1 and 0.0 not in disagreements, disagreements
-    capsys.readouterr()
-    rows = np.array([[8.0, 2.4], [-8.0, -2.4], [4.0, 0.8], [-4.0, -0.8]])
-    base = fit_tls_line(PointSet(rows))
-    cloud.write_text("8e153,2.4e153\n-8e153,-2.4e153\n4e153,0.8e153\n-4e153,-0.8e153\n")
-    for command in (["fit", "--format", "json"], ["compare", "--format", "json"], ["check"]):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert cli.main([*command, "--input", str(cloud)]) == 0, command
-        out = capsys.readouterr().out
-        assert "Infinity" not in out and "NaN" not in out and "inf" not in out, out
-        if command[0] != "check":
-            doc = json.loads(out)
-            direction = doc["direction"] if command[0] == "fit" else doc["tls"]["direction"]
-            angle = angle_between(direction, base.line.direction)
-            assert record("CLI at 10^153", angle / invariance_bounds(base)[0]) <= 1.0, command
-
-
-@pytest.mark.parametrize("offset", (1e12, 1e15))
-@pytest.mark.parametrize("dim", (2, 3, 5, 8, 12))
-def test_check_passes_far_from_origin(tmp_path, capsys, offset, dim):
-    cloud = tmp_path / "cloud.csv"
-    anchor = ",".join([repr(offset)] * dim)
-    for seed in range(15):
-        gen(cloud, "--n", "300", "--sigma", "0.1", "--dim", str(dim), "--seed", str(seed),
-            "--anchor", anchor)
-        code = cli.main(["check", "--resolution-deg", "2", "--input", str(cloud)])
-        out = capsys.readouterr().out
-        assert code == 0, out
-
-
-@pytest.mark.parametrize("dim", (2, 3, 5, 8))
-def test_compare_is_translation_invariant(tmp_path, capsys, dim):
-    # Both of compare's lines pass through the same centroid, so the
-    # explicit line moves with the cloud and so does its orthogonal score.
-    cloud = tmp_path / "cloud.csv"
-    for seed in range(10):
-        docs = []
-        for offset in (0.0, 1e3, 1e6):
-            gen(cloud, "--n", "300", "--sigma", "1e-3", "--dim", str(dim), "--seed", str(seed),
-                "--anchor", ",".join([repr(offset)] * dim))
-            assert cli.main(["compare", "--format", "json", "--input", str(cloud)]) == 0
-            docs.append(json.loads(capsys.readouterr().out))
-        near = docs[0]["ratio_orthogonal"]
-        for doc in docs:
-            assert abs(doc["ratio_orthogonal"] - near) <= 1e-5 * near
-            assert json.dumps(doc["lse"]["anchor"]) == json.dumps(doc["tls"]["anchor"])
-
-
-def test_spread_of_one_ulp_at_large_offset():
-    # The centered residuals are whole ulps of 1e6, so a one-pass mean
-    # cannot land on zero; the second pass still finds the x axis.
-    u = float(np.spacing(1e6))
-    pts = PointSet(np.array([[1e6, 1e6], [1e6 + u, 1e6], [1e6 + u, 1e6]]))
-    assert np.array_equal(fit_tls_line(pts).line.direction, np.array([1.0, 0.0]))
-
-
-EXTREME = ([1e-200, 1e-200], [1e-160, 1e-160], [1e200, 1e200], [1e300, -1e300], [5e-324, 0.0])
-
-
-@pytest.mark.parametrize("raw", EXTREME, ids=lambda raw: ",".join(map(repr, raw)))
-def test_extreme_direction_is_unit(raw, capsys):
-    flag = ",".join(map(repr, raw))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        unit = canonical_direction(raw)
-        assert cli.main(["gen", "--n", "5", "--dim", "2", "--direction", flag]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    header = next(line for line in captured.out.splitlines() if line.startswith("# direction:"))
-    written = np.array([float(c) for c in header.split(":")[1].split(",")])
-    expected = np.array(raw) / np.max(np.abs(raw))
-    expected = expected / np.linalg.norm(expected)
-    assert np.max(np.abs(unit - canonical_direction(expected))) <= 1e-15
-    assert np.max(np.abs(written - expected)) <= 1e-15
-    assert abs(float(np.linalg.norm(written)) - 1.0) <= 1e-15

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from orthofit.geometry import (
     center,
     line_distances_sq,
 )
-from orthofit.oracle import cubic_eigenvalues
 from orthofit.scatter import accumulate_scatter
 from orthofit.solver import (
     dominant_eigenpair,
@@ -463,36 +461,6 @@ class TestMinimality:
         for _ in range(1000):
             competitor = rng.standard_normal(3)
             assert quadratic_objective(summary, competitor) >= best - slack
-
-
-def radius_099_matrix() -> np.ndarray:
-    """A seeded symmetric 3x3 matrix with spectral radius 0.99, so 2^1024
-    times it is finite and so are its eigenvalues (largest entry 0.697)."""
-    m = np.random.default_rng(3).standard_normal((3, 3))
-    a = m + m.T
-    return a * (0.99 / np.max(np.abs(np.linalg.eigvalsh(a))))
-
-
-def test_eigensolvers_reach_the_top_of_float64():
-    # The gate scales before it symmetrizes, so 2^1024 A (entries up to
-    # 0.697 * 2^1024, whose sum A + A^T would overflow) solves exactly like A.
-    a = radius_099_matrix()
-    base, base_roots = dominant_eigenpair(a), cubic_eigenvalues(a)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        top = dominant_eigenpair(np.ldexp(a, 1024))
-        top_roots = cubic_eigenvalues(np.ldexp(a, 1024))
-    assert top.direction.tobytes() == base.direction.tobytes()
-    assert top.spectrum.tobytes() == np.ldexp(base.spectrum, 1024).tobytes()
-    assert top_roots.tobytes() == np.ldexp(base_roots, 1024).tobytes()
-
-
-@pytest.mark.parametrize("solve", [dominant_eigenpair, cubic_eigenvalues])
-def test_eigenvalues_beyond_float64_are_typed(solve):
-    # Entries 0.95 * 2^1024 are finite; the spectral radius, 2.85 * 2^1024,
-    # is not.
-    with pytest.raises(NonFinite, match="eigenvalues exceed"):
-        solve(np.ldexp(np.full((3, 3), 0.95), 1024))
 
 
 def test_removed_names_are_gone():
