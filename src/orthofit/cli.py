@@ -43,7 +43,7 @@ from .fit import (
     total_orthogonal_distance,
     vertical_residual_sq,
 )
-from .geometry import PointSet, _unit, line_distances_sq
+from .geometry import ROUNDING_C, PointSet, _unit, line_distances_sq
 
 # Lines converted per block by parse_points_text: big enough that numpy's
 # per-call cost vanishes, small enough that only one block's tokens are
@@ -314,8 +314,13 @@ def cmd_compare(args) -> int:
         lse_line = lse.line
         lse_orth = total_orthogonal_distance(points, lse_line)
         # The orthogonal fit minimizes exactly this quantity, so any other
-        # line scoring better means the fitter is broken, not the data.
-        if lse_orth - tls.total_sq_distance < -1e-9 * tls.moments.total_sq_norm:
+        # line scoring better means the fitter is broken, not the data. The
+        # slack is the rounding of a total measured from the rounded anchor,
+        # c eps (1 + offset / spread) xi, with spread = sqrt(lam1 / n) and
+        # offset the anchor's distance from the origin.
+        spread = math.sqrt(tls.eigen.spectrum[0] / tls.n_points)
+        slack = ROUNDING_C * math.ulp(1.0) * (1.0 + math.hypot(*tls.line.anchor) / spread)
+        if lse_orth - tls.total_sq_distance < -slack * tls.moments.total_sq_norm:
             raise InvariantViolation(
                 f"explicit-fit line scored {lse_orth!r}, below the orthogonal "
                 f"minimum {tls.total_sq_distance!r}"

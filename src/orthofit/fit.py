@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, RankDeficient
 from .geometry import (
+    ROUNDING_C,
     ParametricLine,
     PointSet,
     _freeze,
@@ -32,6 +33,7 @@ from .geometry import (
 from .oracle import cubic_eigenvalues, grid_search_direction
 from .scatter import ScatterSummary, accumulate_scatter
 from .solver import (
+    FD_STEP,
     EigenSolution,
     dominant_eigenpair,
     finite_diff_gradient,
@@ -266,8 +268,9 @@ class CheckRecord:
     Attributes:
         name: the check, e.g. "grid-agreement".
         status: "PASS" when measured lies in the check's accepted range, at
-            most tol (grid-agreement also needs at least -1e-12 xi), "FAIL"
-            when it does not or is NaN, "SKIP" when the check does not apply.
+            most tol (grid-agreement also needs at least -c n eps xi, see
+            check_fit), "FAIL" when it does not or is NaN, "SKIP" when the
+            check does not apply.
         measured: the value the check read; None for a SKIP.
         tol: the largest value that passes; None for a SKIP.
         reason: why the check was skipped; None otherwise.
@@ -291,12 +294,37 @@ def check_fit(points: PointSet, resolution_deg: float) -> tuple[CheckRecord, ...
     The records come in report order: stationarity-residual, gradient-norm,
     objective-consistency, grid-agreement and spectrum-cubic. The grid
     check runs in dimensions 2 and 3 at resolution_deg, the closed-form
-    spectrum in dimension 3; each is a SKIP elsewhere. Tolerances scale
-    with the cloud's total squared norm xi. objective-consistency compares
-    five values of the minimum objective: the summed distances, the
-    quadratic form at the direction, xi minus the Rayleigh quotient, xi
+    spectrum in dimension 3; each is a SKIP elsewhere. objective-consistency
+    compares five values of the minimum objective: the summed distances,
+    the quadratic form at the direction, xi minus the Rayleigh quotient, xi
     minus the spectrum's largest value, and the spectrum's sum less its
     first value.
+
+    Every tolerance is c = geometry.ROUNDING_C times a model of the rounding
+    its route carries, for an (n, d) cloud of total squared norm xi, which
+    bounds every eigenvalue and matrix entry, and eps = math.ulp(1.0):
+
+    * stationarity-residual, c d eps xi. The Jacobi leaves each
+      off-diagonal entry at most eps / 2 of the largest one, so the residual
+      of its column is at most sqrt(d) eps / 2 of it; forming A s - rho s
+      adds d-term rounding, gamma_d < d eps (Higham 2002, ch. 3).
+    * gradient-norm, c sqrt(d) (h^2 + eps / h) xi with h = solver.FD_STEP.
+      Each central difference is off by its truncation, h^2 times a third
+      derivative of the objective (O(xi) on the unit sphere), plus the
+      rounding of two objective values of size xi divided by h; the norm
+      takes d of them.
+    * objective-consistency, c (n + d) eps xi: gamma_n of the n-term sums
+      (the distances, xi, the scatter) and gamma_d of the d-term forms and
+      of the spectrum's sum.
+    * grid-agreement, accepted in [-c n eps xi, quantization + c n eps xi].
+      The quantization (lam1 - lam_d) sin^2(resolution_deg) bounds how far
+      the best grid node's objective may sit above the minimum; the oracle's
+      own n-term sums round by gamma_n xi either way.
+    * spectrum-cubic, c sqrt(eps) xi. The trigonometric roots read
+      acos(r) for an r rounded by a few eps; near a double root r is near
+      +-1, where acos is only Hoelder-1/2, so the roots lose half their
+      digits: |delta lam| <= 2 p |delta acos(r)| / 3 with p <= xi / sqrt(6)
+      is of order sqrt(eps) xi.
 
     Raises:
         ValueError: for a resolution_deg outside (0, 10], in every dimension
@@ -309,14 +337,14 @@ def check_fit(points: PointSet, resolution_deg: float) -> tuple[CheckRecord, ...
     result = fit_tls_line(points)
     moments, eigen = result.moments, result.eigen
     direction = result.line.direction
-    xi = moments.total_sq_norm
+    xi, n, d = moments.total_sq_norm, moments.n_points, points.dim
     # The diagnostics read one copy of the moments, scaled by the power of
     # two that brings the scatter's largest entry into [0.5, 1) (the
     # solver's rule), so none of their products or norms can overflow or
     # underflow at any cloud scale; measured values are scaled back.
     scatter, exp = _pow2_scaled(moments.scatter)
-    scaled = ScatterSummary(math.ldexp(xi, -exp), scatter, moments.n_points)
-    gradient_norm = np.linalg.norm(finite_diff_gradient(scaled, direction))
+    scaled = ScatterSummary(math.ldexp(xi, -exp), scatter, n)
+    gradient = math.ldexp(float(np.linalg.norm(finite_diff_gradient(scaled, direction))), exp)
     objective = math.ldexp(quadratic_objective(scaled, direction), exp)
     routes = [result.total_sq_distance, objective, xi - eigen.rayleigh]
     spectrum = eigen.spectrum.tolist()
@@ -324,27 +352,29 @@ def check_fit(points: PointSet, resolution_deg: float) -> tuple[CheckRecord, ...
     # and its sum less its first value, the sum of the lower eigenvalues.
     routes += [xi - max(spectrum), math.fsum(spectrum) - spectrum[0]]
     disagreement = max(abs(a - b) for a in routes for b in routes)
+    # Each tolerance is its rounding model (see above) in units of c eps xi,
+    # which cannot overflow: every model is far below 1 / eps.
+    eps = math.ulp(1.0)
+    unit = ROUNDING_C * eps * xi
     report = [
-        _judged("stationarity-residual", eigen.stationarity_residual, 1e-8 * xi),
-        _judged("gradient-norm", math.ldexp(float(gradient_norm), exp), 1e-6 * xi),
-        _judged("objective-consistency", disagreement, 1e-9 * xi),
+        _judged("stationarity-residual", eigen.stationarity_residual, d * unit),
+        _judged("gradient-norm", gradient, math.sqrt(d) * (FD_STEP**2 / eps + 1 / FD_STEP) * unit),
+        _judged("objective-consistency", disagreement, (n + d) * unit),
     ]
 
-    if points.dim <= 3:
+    if d <= 3:
         grid = grid_search_direction(points, resolution_deg)
         gap = grid.best_sq_distance - result.total_sq_distance
-        spread = float(eigen.spectrum[0] - eigen.spectrum[-1])
-        quantization = spread * math.sin(math.radians(resolution_deg)) ** 2
-        tol = max(1e-4 * result.total_sq_distance, quantization, 1e-12 * xi)
-        report.append(_judged("grid-agreement", gap, tol, lo=-1e-12 * xi))
+        quantization = (spectrum[0] - spectrum[-1]) * math.sin(math.radians(resolution_deg)) ** 2
+        report.append(_judged("grid-agreement", gap, quantization + n * unit, lo=-n * unit))
     else:
-        reason = f"grid oracle covers dim <= 3, input is {points.dim}"
+        reason = f"grid oracle covers dim <= 3, input is {d}"
         report.append(CheckRecord("grid-agreement", "SKIP", reason=reason))
 
-    if points.dim == 3:
+    if d == 3:
         measured = np.max(np.abs(eigen.spectrum - cubic_eigenvalues(moments.scatter)))
-        report.append(_judged("spectrum-cubic", float(measured), 1e-8 * xi))
+        report.append(_judged("spectrum-cubic", float(measured), unit / math.sqrt(eps)))
     else:
-        reason = f"closed form covers dim 3, input is {points.dim}"
+        reason = f"closed form covers dim 3, input is {d}"
         report.append(CheckRecord("spectrum-cubic", "SKIP", reason=reason))
     return tuple(report)

@@ -23,6 +23,10 @@ SIGN_EPS = 1e-12
 # _symmetric_scaled accepts a matrix whose largest |A - A^T| is at most this
 # fraction of its largest |A|.
 SYMMETRY_RTOL = 1e-10
+# The one rounding constant: each rounding bound (check's tolerances, the
+# moments' floor, the tests' invariance bounds) is ROUNDING_C times a model
+# of the rounding it covers, in units of eps = math.ulp(1.0).
+ROUNDING_C = 16
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

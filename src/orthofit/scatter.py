@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch, NonFinite
-from .geometry import PointSet, _as_array, _freeze, _readonly
+from .geometry import ROUNDING_C, PointSet, _as_array, _freeze, _readonly
 
 
 def min_total_sq_norm(n_points: int, dim: int) -> float:
@@ -29,11 +29,12 @@ def min_total_sq_norm(n_points: int, dim: int) -> float:
 
     A product that lands below the normal range rounds by up to 2^-1075, so
     the subnormal rounding of the scatter is at most n d 2^-1075 in norm.
-    It must stay under 16 eps lambda_1, the rounding the fit allows itself
-    (16 eps / relgap on the direction, Davis-Kahan), and lambda_1 >= trace / d;
-    that holds while the trace is at least n d^2 2^-1075 / (16 eps).
+    It must stay under c eps lambda_1 with c = geometry.ROUNDING_C = 16, the
+    rounding the fit allows itself (c eps / relgap on the direction,
+    Davis-Kahan), and lambda_1 >= trace / d; that holds while the trace is
+    at least n d^2 2^-1075 / (c eps).
     """
-    return math.ldexp(n_points * dim * dim, -1027)
+    return math.ldexp(n_points * dim * dim / (ROUNDING_C * math.ulp(1.0)), -1075)
 
 
 def cross_matrix(a) -> np.ndarray:
@@ -119,9 +120,11 @@ def accumulate_scatter(centered: PointSet) -> ScatterSummary:
             cloud's spread is near the square root of the float64 maximum.
         DegenerateInput: if the total squared norm is below
             min_total_sq_norm(n, d), n d^2 2^-1027: all points sit at the
-            origin, which leaves every direction equally good, or so close
-            to it that the moments' subnormal rounding could move the
-            direction by more than the fit's rounding bound.
+            origin, which leaves every direction equally good (the message
+            says the points coincide), or so close to it that the moments'
+            subnormal rounding could move the direction by more than the
+            fit's rounding bound (the message gives the floor), as when
+            distinct points' squares underflow to a zero total.
     """
     pts = centered.points
     with np.errstate(over="ignore", invalid="ignore"):
@@ -134,7 +137,7 @@ def accumulate_scatter(centered: PointSet) -> ScatterSummary:
         raise DegenerateInput(
             f"the points' total squared norm {total_sq_norm:g} is below n d^2 2^-1027 "
             f"= {floor:g}, too small for float64 to fix a direction"
-            if total_sq_norm
+            if pts.any()
             else "all points coincide; every direction fits equally well"
         )
     return ScatterSummary(total_sq_norm=total_sq_norm, scatter=omega, n_points=pts.shape[0])

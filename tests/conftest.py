@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
-# c eps with c = 16: the rounding unit of every invariance gate.
-C_EPS = 16.0 * float(np.finfo(np.float64).eps)
+from orthofit.geometry import ROUNDING_C
+
+# c eps with the library's c = 16: the rounding unit of every invariance gate.
+C_EPS = ROUNDING_C * math.ulp(1.0)
 
 
 def invariance_bounds(result, offset: float = 0.0) -> tuple[float, float, float]:
@@ -40,18 +42,18 @@ def equivariance_ratio(base, moved, a, shift=0.0, scale: float = 1.0) -> float:
 
 @pytest.fixture(scope="module")
 def record():
-    """record(transform, ratio) returns ratio and keeps each transform's worst
-    ratio to its bound and its case count, printed at the module's teardown."""
+    """record(case, ratio) returns ratio and keeps each case's worst ratio to
+    its bound and its count, printed at the module's teardown."""
     worst = collections.defaultdict(lambda: [0.0, 0])
 
-    def keep(transform: str, ratio: float) -> float:
-        worst[transform][:] = max(worst[transform][0], ratio), worst[transform][1] + 1
+    def keep(case: str, ratio: float) -> float:
+        worst[case][:] = max(worst[case][0], ratio), worst[case][1] + 1
         return ratio
 
     yield keep
-    print(f"\n{'transform':<28} {'worst ratio':>11} {'cases':>6}")
-    for transform, (ratio, cases) in worst.items():
-        print(f"{transform:<28} {ratio:11.3g} {cases:6d}")
+    print(f"\n{'case':<44} {'worst ratio':>11} {'count':>6}")
+    for case, (ratio, count) in worst.items():
+        print(f"{case:<44} {ratio:11.3g} {count:6d}")
 
 
 def scaled_bytes(moved, base, k) -> bool:

@@ -383,6 +383,16 @@ class TestCompareCommand:
         # And the classical fit must win on its own objective.
         assert doc["lse"]["vertical_residual_sq"] <= doc["tls"]["vertical_residual_sq"]
 
+    def test_exact_line_far_from_the_origin_exits_0(self, tmp_path, capsys):
+        # A sigma-0 cloud at offset 1e9: the explicit line's total, measured
+        # from the rounded anchor, stays within compare's derived slack.
+        cloud = tmp_path / "far.csv"
+        gen = ["gen", "--n", "300", "--dim", "2", "--sigma", "0", "--anchor", "1e9,1e9"]
+        assert cli.main([*gen, "--output", str(cloud)]) == 0
+        for fmt in ("table", "json", "csv"):
+            assert cli.main(["compare", "--input", str(cloud), "--format", fmt]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_axis_aligned_collinear_has_null_ratio(self, tmp_path):
         cloud = tmp_path / "axis.csv"
         cloud.write_text("0,0\n1,0\n2,0\n3,0\n")

@@ -96,9 +96,13 @@ SOLVER_DEFECTS = {
     ),
     "rotated-1e-4": lambda sol, a: _taking(sol, a, _turned(sol.eigenvectors, 1e-4)),
     "rotated-1e-7": lambda sol, a: _taking(sol, a, _turned(sol.eigenvectors, 1e-7)),
+    "rotated-1e-11": lambda sol, a: _taking(sol, a, _turned(sol.eigenvectors, 1e-11)),
     # The line's column is turned after the solve; eigen.direction is not.
     "line-rotated-1e-5": lambda sol, a: dataclasses.replace(
         sol, eigenvectors=_turned(sol.eigenvectors, 1e-5)
+    ),
+    "line-rotated-1e-7": lambda sol, a: dataclasses.replace(
+        sol, eigenvectors=_turned(sol.eigenvectors, 1e-7)
     ),
     "eigenvectors-transposed": lambda sol, a: dataclasses.replace(
         sol, eigenvectors=sol.eigenvectors.T

@@ -95,9 +95,12 @@ def write_cloud(path, rows):
 
 
 def test_moments_below_the_floor_are_degenerate(tmp_path, capsys):
-    # Under the floor `fit` raises, and the CLI exits 2 with one error line.
+    # Under the floor `fit` raises, and the CLI exits 2 with one error line
+    # that gives the floor. At 10^-200 the points are distinct but their
+    # squares underflow to a zero total: that is below the floor too, not
+    # coincident points.
     cloud = tmp_path / "cloud.csv"
-    for e in (-155, -160, -162):
+    for e in (-155, -160, -162, -200):
         scaled = axis_cloud() * 10.0**e
         with pytest.raises(DegenerateInput, match=r"below n d\^2 2\^-1027"):
             fit_tls_line(PointSet(scaled))
@@ -105,6 +108,7 @@ def test_moments_below_the_floor_are_degenerate(tmp_path, capsys):
         assert cli.main(["fit", "--input", str(cloud)]) == 2, e
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "below n d^2 2^-1027" in err[0], err
 
 
 def radius_099_matrix() -> np.ndarray:

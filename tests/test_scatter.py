@@ -129,7 +129,7 @@ class TestAccumulate:
         assert np.array_equal(summary.scatter, np.diag([10.0, 0.0]))
 
     def test_rejects_all_points_at_origin(self):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(DegenerateInput, match="all points coincide"):
             accumulate_scatter(PointSet(np.zeros((4, 3))))
 
     def test_scatter_matches_outer_product_recomputation(self):
