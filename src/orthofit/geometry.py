@@ -27,6 +27,10 @@ SYMMETRY_RTOL = 1e-10
 # moments' floor, the tests' invariance bounds) is ROUNDING_C times a model
 # of the rounding it covers, in units of eps = math.ulp(1.0).
 ROUNDING_C = 16
+# _rejection_sq takes this many rows at a time. A multiple of 64, so each
+# row keeps its position modulo 64 within a block's temporaries, and with
+# it its place in any SIMD or BLAS unroll of the rows.
+_BLOCK_ROWS = 2**15
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -268,21 +272,37 @@ def center(points: PointSet) -> tuple[PointSet, np.ndarray]:
         c = first + shift
     if not np.isfinite(c).all():
         raise NonFinite("centering the points overflows float64")
-    return PointSet(y - shift), c
+    return PointSet(np.subtract(y, shift, out=y)), c
 
 
-def _rejection_sq(y: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Squared norm of each row's rejection y - (y.s)s from the unit s.
+def _rejection_sq(x: np.ndarray, s: np.ndarray, anchor: np.ndarray | None = None) -> np.ndarray:
+    """Squared norm of each row's rejection y - (y.s)s from the unit s, for
+    the rows y of x - anchor (of x itself when anchor is None).
 
-    That is the squared orthogonal distance of each row of y from the line
-    through the origin along s. line_distances_sq and fit_tls_line (on its
-    centered cloud) both measure through it. For unit s this equals
-    |y|^2 - (y.s)^2, but the rejection is formed without subtracting two
-    nearly equal quantities, so points close to the line come out with full
-    relative accuracy instead of cancellation noise.
+    That is the squared orthogonal distance of each row of x from the line
+    through anchor (or the origin) along s. line_distances_sq and
+    fit_tls_line (on its centered cloud, with no anchor) both measure
+    through it. For unit s this equals |y|^2 - (y.s)^2, but the rejection
+    is formed without subtracting two nearly equal quantities, so points
+    close to the line come out with full relative accuracy instead of
+    cancellation noise.
+
+    The rows are taken _BLOCK_ROWS at a time into one preallocated output,
+    so the temporaries are a block's size, not the cloud's. Each row's
+    value depends on that row alone, and a block starts at a multiple of 64
+    rows, so the bytes are those of the formula over all rows at once; at
+    more than one BLAS thread that holds only where a row's dot product
+    with s does not depend on how the threads split the rows.
     """
-    r = y - (y @ s)[:, None] * s
-    return np.einsum("ij,ij->i", r, r)
+    out = np.empty(len(x))
+    # A lone last row joins the block before it: numpy takes a one-row
+    # product by another route than the rows of a larger one.
+    edges = [0, *range(_BLOCK_ROWS, len(x) - 1, _BLOCK_ROWS), len(x)]
+    for rows in map(slice, edges, edges[1:]):
+        y = x[rows] if anchor is None else x[rows] - anchor
+        r = y - (y @ s)[:, None] * s
+        np.einsum("ij,ij->i", r, r, out=out[rows])
+    return out
 
 
 def line_distances_sq(points: PointSet, line: ParametricLine) -> np.ndarray:
@@ -298,4 +318,4 @@ def line_distances_sq(points: PointSet, line: ParametricLine) -> np.ndarray:
         raise DimensionMismatch(
             f"points have dimension {points.dim}, line has dimension {line.dim}"
         )
-    return _rejection_sq(points.points - line.anchor, line.direction)
+    return _rejection_sq(points.points, line.direction, line.anchor)

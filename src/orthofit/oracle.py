@@ -2,9 +2,10 @@
 
 Two deliberately different routes to the same answers live here:
 
-* grid_search_direction scores a dense grid of candidate directions in
-  one einsum over the cloud's own d x d scatter, with no eigensolver
-  involved. The grid array dominates its memory.
+* grid_search_direction scores a dense grid of candidate directions from
+  the cloud's own d x d scatter, in closed separable form over the grid's
+  polar and azimuth angles, with no eigensolver involved and without
+  building the grid: two float64 scores per node at most.
 * cubic_eigenvalues solves the 3x3 characteristic polynomial in closed
   trigonometric form, with no iteration involved.
 
@@ -45,30 +46,6 @@ class GridSearchResult:
         _freeze(self, "best_direction")
 
 
-def _grid_directions(dim: int, resolution_deg: float) -> np.ndarray:
-    # numpy refuses, with a ValueError, to size an array whose bytes an intp
-    # cannot count. A grid that may be that large (bounded in floats at
-    # 360 / resolution_deg nodes per angle) is refused before any of it is
-    # built, as the request too large to allocate that it is.
-    if math.prod([360.0 / resolution_deg] * (dim - 1)) * dim * 8 > np.iinfo(np.intp).max:
-        raise MemoryError(f"a grid at resolution_deg {resolution_deg} is too large to allocate")
-    if dim == 2:
-        theta = np.deg2rad(np.arange(0.0, 180.0, resolution_deg))
-        return np.column_stack([np.cos(theta), np.sin(theta)])
-    # Hemisphere: polar angle from the +z pole down to the equator,
-    # inclusive of the equator when the resolution divides 90 evenly.
-    polar = np.deg2rad(np.arange(0.0, 90.0 + 1e-9, resolution_deg))
-    azimuth = np.deg2rad(np.arange(0.0, 360.0, resolution_deg))
-    # Filled in place by broadcasting, so the grid is the only
-    # polar x azimuth array: no meshgrid, no trig on the full grid.
-    sin_pol = np.sin(polar)[:, None]
-    grid = np.empty((polar.size, azimuth.size, 3))
-    np.multiply(sin_pol, np.cos(azimuth), out=grid[:, :, 0])
-    np.multiply(sin_pol, np.sin(azimuth), out=grid[:, :, 1])
-    grid[:, :, 2] = np.cos(polar)[:, None]
-    return grid.reshape(-1, 3)
-
-
 def grid_search_direction(points: PointSet, resolution_deg: float) -> GridSearchResult:
     """Scan directions on a dense angular grid, minimizing the objective.
 
@@ -77,10 +54,20 @@ def grid_search_direction(points: PointSet, resolution_deg: float) -> GridSearch
     objective for each candidate s is sum |y|^2 - sum (y . s)^2 over the
     centered cloud y. It is scored as xi - s^T Omega s from the energy
     xi = sum |y|^2 and the d x d scatter Omega = sum y y^T, both formed once
-    by einsum, so each direction costs O(d^2), independent of the number of
-    points. One einsum scores the whole grid, and exact ties go to the
-    lexicographically smallest raw grid vector. The returned value
-    quantizes the true optimum: it can exceed it by roughly
+    by einsum, so each direction costs O(1), independent of the number of
+    points. The grid of directions is never built: for the node
+    s = (sin t cos p, sin t sin p, cos t) at polar angle t and azimuth p,
+
+        s^T Omega s = sin^2 t A(p) + sin t cos t B(p) + Omega_33 cos^2 t,
+        A(p) = Omega_11 cos^2 p + 2 Omega_12 cos p sin p + Omega_22 sin^2 p,
+        B(p) = 2 (Omega_13 cos p + Omega_23 sin p),
+
+    so the polar x azimuth scores are outer products of three polar and two
+    azimuth vectors, two float64 arrays of that size at most; in 2-d the
+    node (cos p, sin p) is the equator's, and scores A(p). Only the nodes
+    that tie at the minimum are formed, from the same sines and cosines,
+    and exact ties go to the lexicographically smallest raw node. The
+    returned value quantizes the true optimum: it can exceed it by roughly
     (lam1 - lam2) sin^2(delta) for a grid offset delta of at most about
     resolution_deg / sqrt(2).
 
@@ -93,10 +80,9 @@ def grid_search_direction(points: PointSet, resolution_deg: float) -> GridSearch
         ValueError: for a resolution outside (0, 10].
         MemoryError: for a grid too large to allocate.
     """
-    if points.dim not in (2, 3):
-        raise UnsupportedDimension(
-            f"grid search covers dimensions 2 and 3, got {points.dim}"
-        )
+    dim = points.dim
+    if dim not in (2, 3):
+        raise UnsupportedDimension(f"grid search covers dimensions 2 and 3, got {dim}")
     if not (0.0 < resolution_deg <= 10.0):
         raise ValueError(f"resolution_deg must be in (0, 10], got {resolution_deg}")
 
@@ -107,19 +93,36 @@ def grid_search_direction(points: PointSet, resolution_deg: float) -> GridSearch
     total_sq = float(np.einsum("ij,ij->", y, y))
     # The scatter formula is the one accumulate_scatter uses; the oracle's
     # independence from the fit lies in its own centering above and in the
-    # direction scan below, which needs no eigensolver.
-    omega = np.einsum("ij,ik->jk", y, y)
-    directions = _grid_directions(points.dim, resolution_deg)
-    values = total_sq - np.einsum("ij,jk,ik->i", directions, omega, directions)
+    # direction scan below, which needs no eigensolver. In 2-d it is padded
+    # with a zero z row and column (see the scan below).
+    omega = np.zeros((3, 3))
+    omega[:dim, :dim] = np.einsum("ij,ik->jk", y, y)
+    # numpy refuses, with a ValueError, to size an array whose bytes an intp
+    # cannot count. A grid whose nodes may take that many bytes (bounded at
+    # 360 / resolution_deg nodes per angle, d floats a node) is refused
+    # before any of it is scored, as the request too large to allocate that
+    # it is.
+    if math.prod([360.0 / resolution_deg] * (dim - 1)) * dim * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"a grid at resolution_deg {resolution_deg} is too large to allocate")
+    # Azimuths cover the half-circle in 2-d and the full circle around the
+    # +z pole in 3-d. Polar angles run from the pole down to the equator,
+    # inclusive of the equator when the resolution divides 90 evenly. A 2-d
+    # cloud is scanned as the equator alone (sin 90 deg is exactly 1) of a
+    # 3-d cloud with a zero z column, whose nodes drop their z.
+    azimuth = np.deg2rad(np.arange(0.0, 180.0 * (dim - 1), resolution_deg))
+    polar = np.deg2rad(np.arange(90.0 * (3 - dim), 90.0 + 1e-9, resolution_deg))
+    cos_az, sin_az = np.cos(azimuth), np.sin(azimuth)
+    sin_pol, cos_pol = np.sin(polar), np.cos(polar)
+    plane = omega[0, 0] * cos_az**2 + 2.0 * omega[0, 1] * cos_az * sin_az + omega[1, 1] * sin_az**2
+    tilt = 2.0 * (omega[0, 2] * cos_az + omega[1, 2] * sin_az)
+    values = np.multiply.outer(sin_pol**2, plane)
+    values += np.multiply.outer(sin_pol * cos_pol, tilt)
+    np.subtract((total_sq - omega[2, 2] * cos_pol**2)[:, None], values, out=values)
     best_value = float(values.min())
-    best_raw = min(tuple(row) for row in directions[values == best_value])
-
-    return GridSearchResult(
-        best_direction=canonical_direction(np.array(best_raw)),
-        best_sq_distance=max(best_value, 0.0),
-        resolution_deg=resolution_deg,
-        evaluated=directions.shape[0],
-    )
+    pol, az = np.divmod(np.flatnonzero(values == best_value), azimuth.size)
+    nodes = np.column_stack([sin_pol[pol] * cos_az[az], sin_pol[pol] * sin_az[az], cos_pol[pol]])
+    best = canonical_direction(np.array(min(map(tuple, nodes[:, :dim]))))
+    return GridSearchResult(best, max(best_value, 0.0), resolution_deg, values.size)
 
 
 def _det3(m: np.ndarray) -> float:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthofit.errors import DegenerateInput, DimensionMismatch, NonFinite, ZeroVector
+from orthofit.fit import fit_tls_line
 from orthofit.geometry import (
+    _BLOCK_ROWS,
     SIGN_EPS,
     ParametricLine,
     PointSet,
     _canonical_signs,
+    _rejection_sq,
     canonical_direction,
     center,
     line_distances_sq,
@@ -153,6 +157,49 @@ class TestDistance:
             line_distances_sq(PointSet(np.zeros((3, 2)) + [[1, 2], [3, 4], [5, 6]]), line)
         with pytest.raises(DimensionMismatch):
             line_distances_sq(PointSet(np.ones((2, 4))), line)
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedRejections:
+    @pytest.mark.parametrize(
+        "n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 7]
+    )
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_blocks_keep_the_one_shot_bytes(self, n, dim):
+        # The reference is the formula on all rows at once. B + 1 rows would
+        # leave a one-row last block, which numpy's matmul takes by another
+        # route (a dot product); the last row joins the block before it.
+        rng = np.random.default_rng([n, dim])
+        x = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 3, dim) + 1e3
+        line = ParametricLine(x.mean(axis=0) + rng.normal(size=dim), rng.normal(size=dim))
+        s, anchor = line.direction, line.anchor
+        for got, y in (
+            (_rejection_sq(x, s), x),
+            (_rejection_sq(x, s, anchor), x - anchor),
+            (line_distances_sq(PointSet(x), line), x - anchor),
+        ):
+            r = y - (y @ s)[:, None] * s
+            assert got.tobytes() == np.einsum("ij,ij->i", r, r).tobytes()
+
+    def test_peaks_stay_near_the_cloud_size(self):
+        # On a 1e6 x 3 cloud the fit holds the centered copy while it is
+        # made (twice the cloud's bytes), and line_distances_sq only its
+        # n-float output and one block's temporaries.
+        rng = np.random.default_rng(11)
+        t = rng.uniform(-5.0, 5.0, 10**6)
+        x = np.outer(t, [1.0, 2.0, 3.0]) + rng.normal(0.0, 0.3, (10**6, 3))
+        ps = PointSet(x)
+        line = ParametricLine(x[0], [1.0, 2.0, 3.0])
+        assert _traced_peak(fit_tls_line, ps) <= 2.2 * x.nbytes
+        assert _traced_peak(line_distances_sq, ps, line) <= 0.5 * x.nbytes
 
 
 class TestCanonicalDirection:
