@@ -316,10 +316,15 @@ def check_fit(points: PointSet, resolution_deg: float) -> tuple[CheckRecord, ...
     * objective-consistency, c (n + d) eps xi: gamma_n of the n-term sums
       (the distances, xi, the scatter) and gamma_d of the d-term forms and
       of the spectrum's sum. gamma_n, not a pairwise sum's log n bound, is
-      the worst case: the scatter's einsum("ij,ik->jk") adds its n products
-      in sequence (on a seeded 20000 x 3 cloud each diagonal entry equals a
-      sequential loop bit for bit, where np.sum of the same products does
-      not), and four of the five routes read the scatter.
+      the worst case, because four of the five routes read the scatter.
+      Its einsum("ij,ik->jk") runs down two contiguous columns of the
+      column-major cloud, in two interleaved sequential sums of about
+      n / 2 products each, even rows and odd rows, which it adds at the
+      end (numpy's two-lane loop; on a seeded 20000 x 3 cloud every entry
+      equals that model bit for bit, and neither a single sequential sum
+      nor np.sum of the same products does). So each entry rounds by at
+      most gamma_(n/2 + 1). xi and the distances' total are np.sum's
+      pairwise sums.
     * grid-agreement, accepted in [-c n eps xi, quantization + c n eps xi].
       The quantization (lam1 - lam_d) sin^2(resolution_deg) bounds how far
       the best grid node's objective may sit above the minimum; the oracle's

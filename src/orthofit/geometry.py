@@ -27,9 +27,8 @@ SYMMETRY_RTOL = 1e-10
 # moments' floor, the tests' invariance bounds) is ROUNDING_C times a model
 # of the rounding it covers, in units of eps = math.ulp(1.0).
 ROUNDING_C = 16
-# _rejection_sq takes this many rows at a time. A multiple of 64, so each
-# row keeps its position modulo 64 within a block's temporaries, and with
-# it its place in any SIMD or BLAS unroll of the rows.
+# _rejection_sq takes this many rows at a time, so its temporaries are a
+# block's size, not the cloud's.
 _BLOCK_ROWS = 2**15
 
 
@@ -38,8 +37,9 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _as_array(x, name: str, ndims: tuple[int, ...] = (1,)) -> np.ndarray:
-    """x as a fresh C-order float64 array: the one way arrays enter the library.
+def _as_array(x, name: str, ndims: tuple[int, ...] = (1,), order: str = "C") -> np.ndarray:
+    """x as a fresh float64 array in the given memory order ("C" or "F"):
+    the one way arrays enter the library.
 
     The copy is the callee's own, so nothing done to it reaches the caller.
 
@@ -47,7 +47,7 @@ def _as_array(x, name: str, ndims: tuple[int, ...] = (1,)) -> np.ndarray:
         DimensionMismatch: if x.ndim is not in ndims, naming x by name.
         NonFinite: if an entry is NaN or infinite.
     """
-    a = np.array(x, dtype=np.float64, copy=True, order="C")
+    a = np.array(x, dtype=np.float64, copy=True, order=order)
     if a.ndim not in ndims:
         kinds = "- or ".join(map(str, ndims))
         raise DimensionMismatch(f"{name} must be a {kinds}-d array, got shape {a.shape}")
@@ -186,12 +186,17 @@ class PointSet:
 
     Requires at least two points and at least two coordinates per point;
     a lone point (or a 1-d "cloud") does not determine a line problem.
+    The points are stored column-major (Fortran order), whatever the
+    input's layout: a cloud is tall and narrow, so each per-coordinate
+    pass of the fit (the centering means, the moments, the distances)
+    runs down one contiguous column instead of striding across rows of
+    two or three values.
     """
 
     points: np.ndarray
 
     def __post_init__(self):
-        pts = _as_array(self.points, "points", (2,))
+        pts = _as_array(self.points, "points", (2,), order="F")
         n, d = pts.shape
         if n < 2:
             raise DegenerateInput(f"need at least 2 points, got {n}")
@@ -287,21 +292,27 @@ def _rejection_sq(x: np.ndarray, s: np.ndarray, anchor: np.ndarray | None = None
     close to the line come out with full relative accuracy instead of
     cancellation noise.
 
-    The rows are taken _BLOCK_ROWS at a time into one preallocated output,
-    so the temporaries are a block's size, not the cloud's. Each row's
-    value depends on that row alone, and a block starts at a multiple of 64
-    rows, so the bytes are those of the formula over all rows at once; at
-    more than one BLAS thread that holds only where a row's dot product
-    with s does not depend on how the threads split the rows.
+    Both sums over coordinates, the dot y.s = sum_j y_j s_j and the squared
+    norm sum_j r_j^2 of the rejection r = y - (y.s)s, are added in
+    coordinate order, one elementwise numpy operation per coordinate down
+    the column of every row at once; no BLAS call is made. So each row's
+    value depends on its own coordinates alone, and its bytes not on the
+    BLAS thread count, on x's memory layout, or on the rows around it. The
+    rows are taken _BLOCK_ROWS at a time into one preallocated output, so
+    the temporaries are a block's size, not the cloud's.
     """
-    out = np.empty(len(x))
-    # A lone last row joins the block before it: numpy takes a one-row
-    # product by another route than the rows of a larger one.
-    edges = [0, *range(_BLOCK_ROWS, len(x) - 1, _BLOCK_ROWS), len(x)]
-    for rows in map(slice, edges, edges[1:]):
-        y = x[rows] if anchor is None else x[rows] - anchor
-        r = y - (y @ s)[:, None] * s
-        np.einsum("ij,ij->i", r, r, out=out[rows])
+    out = np.zeros(len(x))
+    for start in range(0, len(x), _BLOCK_ROWS):
+        y = x[start : start + _BLOCK_ROWS]
+        if anchor is not None:
+            y = y - anchor
+        dot = y[:, 0] * s[0]
+        for j in range(1, len(s)):
+            dot += y[:, j] * s[j]
+        sq = out[start : start + _BLOCK_ROWS]
+        for j in range(len(s)):
+            r = y[:, j] - dot * s[j]
+            sq += r * r
     return out
 
 

@@ -119,7 +119,9 @@ def dominant_eigenpair(matrix) -> EigenSolution:
         rotated = False
         for p in range(d - 1):
             for q in range(p + 1, d):
-                apq = a[p, q]
+                # Scalars are read as Python floats (.item), whose
+                # arithmetic is float64's, without numpy scalar overhead.
+                apq = a.item(p, q)
                 # Skip entries at most eps / 2: one ulp of the largest
                 # entry, which _symmetric_scaled puts in [0.5, 1).
                 if abs(apq) <= 2.0**-53:
@@ -128,7 +130,8 @@ def dominant_eigenpair(matrix) -> EigenSolution:
                 # t = sign(tau) / (|tau| + sqrt(tau^2 + 1)) with
                 # tau = diff / (2 apq), multiplied through by 2 apq so that
                 # neither tau nor tau^2 is formed.
-                diff = a[q, q] - a[p, p]
+                app, aqq = a.item(p, p), a.item(q, q)
+                diff = aqq - app
                 if diff == 0.0:
                     t = 1.0
                 else:
@@ -138,7 +141,6 @@ def dominant_eigenpair(matrix) -> EigenSolution:
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
 
-                app, aqq = a[p, p], a[q, q]
                 x, y = av[:, p], av[:, q]
                 av[:, p], av[:, q] = c * x - s * y, s * x + c * y
                 a[p], a[q] = a[:, p], a[:, q]

@@ -24,10 +24,10 @@ two bounds, evaluated at 60 digits:
    it is at most eps / 2 of a matrix whose largest entry is at least 1/2,
    that is at most eps max|S|. The dominant column of the rotated matrix
    then has an off-diagonal part of norm at most sqrt(d - 1) eps max|S|,
-   which for d <= 3 is at most sqrt(2) eps |S|_F, and that residual over
+   which for d <= 4 is at most sqrt(3) eps |S|_F, and that residual over
    the gap bounds the angle by Davis-Kahan on the rotated matrix. So the
    angle is at most c eps |S|_F / (lam1 - lam2) + 64 eps, with C_SKIP = 2
-   for c: the margin over sqrt(2) covers the rotations' and the scatter's
+   for c: the margin over sqrt(3) covers the rotations' and the scatter's
    own rounding, a few eps |S| that the gap amplifies alike, and 64 eps
    the rounding of the final normalization.
 
@@ -54,21 +54,28 @@ PRECISION = Context(prec=60)
 BRACKET_WIDTH = Fraction(1, 10**45)
 # Inverse iteration starts here (powers of the golden ratio's inverse,
 # truncated): a fixed vector that no family below is orthogonal to.
-START = (Fraction(1), Fraction("0.6180339887498948482"), Fraction("0.3819660112501051518"))
+START = (
+    Fraction(1),
+    Fraction("0.6180339887498948482"),
+    Fraction("0.3819660112501051518"),
+    Fraction("0.2360679774997896964"),
+)
 N_POINTS = 64
 # The Davis-Kahan bound's floor, and c of the skip-test bound.
 FLOOR = Decimal("1e-50")
 C_SKIP = 2
 SEEDS = (0, 1, 2)
+# Where eigenvalue_bracket tries to split a bracket, in order.
+SHARES = tuple(Fraction(*f) for f in ((1, 2), (2, 5), (3, 5), (3, 7), (4, 7), (2, 7), (5, 7)))
 
 
 def _spread_cloud(rng, d, gap):
-    """N_POINTS points whose scatter has eigenvalues about n (1 + gap), n
-    and n / 4 (the last in 3-d only), along random orthogonal axes."""
+    """N_POINTS points whose scatter has eigenvalues about n (1 + gap), n,
+    n / 4 and n / 16 (the first d of them), along random orthogonal axes."""
     z = rng.standard_normal((N_POINTS, d))
     axes, _ = np.linalg.qr(z - z.mean(axis=0))
     rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    sigma = np.sqrt([1.0 + gap, 1.0, 0.25][:d]) * math.sqrt(N_POINTS)
+    sigma = np.sqrt([1.0 + gap, 1.0, 0.25, 0.0625][:d]) * math.sqrt(N_POINTS)
     return (axes * sigma) @ rotation.T
 
 
@@ -98,7 +105,7 @@ FAMILIES = (
     *(("scale", k) for k in (-480, 480)),
     ("collinear", None),
 )
-CASES = [(f, v, d, seed) for f, v in FAMILIES for d in (2, 3) for seed in SEEDS]
+CASES = [(f, v, d, seed) for f, v in FAMILIES for d in (2, 3, 4) for seed in SEEDS]
 
 
 def _case_id(case):
@@ -152,10 +159,11 @@ def eigenvalue_bracket(m, rank):
     trace = sum(m[i][i] for i in range(d))
     lo, hi = Fraction(-1), Fraction(trace + 1)
     while hi - lo > BRACKET_WIDTH * trace:
-        # Elimination fails only where a leading block of m - lam I is
-        # singular, at no more than 3 points for d <= 3, so one of four
-        # distinct trial points inside the bracket always gives a count.
-        for share in (Fraction(1, 2), Fraction(2, 5), Fraction(3, 5), Fraction(3, 7)):
+        # Elimination fails only where one of the leading blocks of sizes
+        # 1 to d - 1 of m - lam I is singular, at no more than d (d - 1) / 2
+        # points, 6 for d <= 4, so one of seven distinct trial points inside
+        # the bracket always gives a count.
+        for share in SHARES:
             mid = lo + (hi - lo) * share
             below = count_below(m, mid)
             if below is not None:

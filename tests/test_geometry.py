@@ -1,11 +1,17 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orthofit
 from orthofit.errors import DegenerateInput, DimensionMismatch, NonFinite, ZeroVector
 from orthofit.fit import fit_tls_line
 from orthofit.geometry import (
@@ -168,26 +174,38 @@ def _traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
+def _coordinate_order_rejections(y: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """|y - (y.s)s|^2 per row, each sum over coordinates taken in order."""
+    cols = [y[:, j] for j in range(y.shape[1])]
+    dot = cols[0] * s[0]
+    for col, sj in zip(cols[1:], s[1:]):
+        dot = dot + col * sj
+    sq = np.zeros(len(y))
+    for col, sj in zip(cols, s):
+        sq = sq + (col - dot * sj) ** 2
+    return sq
+
+
 class TestBlockedRejections:
     @pytest.mark.parametrize(
         "n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 7]
     )
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_blocks_keep_the_one_shot_bytes(self, n, dim):
-        # The reference is the formula on all rows at once. B + 1 rows would
-        # leave a one-row last block, which numpy's matmul takes by another
-        # route (a dot product); the last row joins the block before it.
+        # The reference sums in coordinate order over all rows at once, so
+        # the blocks must leave no trace; neither may the input's layout.
         rng = np.random.default_rng([n, dim])
         x = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 3, dim) + 1e3
         line = ParametricLine(x.mean(axis=0) + rng.normal(size=dim), rng.normal(size=dim))
         s, anchor = line.direction, line.anchor
-        for got, y in (
-            (_rejection_sq(x, s), x),
-            (_rejection_sq(x, s, anchor), x - anchor),
-            (line_distances_sq(PointSet(x), line), x - anchor),
-        ):
-            r = y - (y @ s)[:, None] * s
-            assert got.tobytes() == np.einsum("ij,ij->i", r, r).tobytes()
+        one_shot = _coordinate_order_rejections(x, s).tobytes()
+        anchored = _coordinate_order_rejections(x - anchor, s).tobytes()
+        strided = np.zeros((3 * n, 2 * dim))
+        strided[::3, 1::2] = x
+        for layout in (x, np.asfortranarray(x), strided[::3, 1::2]):
+            assert _rejection_sq(layout, s).tobytes() == one_shot
+            assert _rejection_sq(layout, s, anchor).tobytes() == anchored
+            assert line_distances_sq(PointSet(layout), line).tobytes() == anchored
 
     def test_peaks_stay_near_the_cloud_size(self):
         # On a 1e6 x 3 cloud the fit holds the centered copy while it is
@@ -200,6 +218,42 @@ class TestBlockedRejections:
         line = ParametricLine(x[0], [1.0, 2.0, 3.0])
         assert _traced_peak(fit_tls_line, ps) <= 2.2 * x.nbytes
         assert _traced_peak(line_distances_sq, ps, line) <= 0.5 * x.nbytes
+
+
+# Fits two clouds above OpenBLAS's threading size and prints the sha256 of
+# the per-point squares, the direction and line_distances_sq's output.
+_THREAD_PROBE = """
+import hashlib, json
+import numpy as np
+from orthofit.fit import fit_tls_line
+from orthofit.geometry import PointSet, line_distances_sq
+digests = []
+for n, d in ((200001, 12), (70001, 50)):
+    rng = np.random.default_rng([n, d])
+    t = rng.uniform(-5.0, 5.0, (n, 1))
+    x = t * rng.normal(size=d) + rng.normal(0.0, 0.3, (n, d)) + 1e3 * rng.normal(size=d)
+    points = PointSet(x)
+    result = fit_tls_line(points)
+    for out in (result.per_point_sq, result.line.direction, line_distances_sq(points, result.line)):
+        digests.append(hashlib.sha256(out.tobytes()).hexdigest())
+print(json.dumps(digests))
+"""
+
+
+class TestBlasThreads:
+    def test_distances_and_direction_keep_their_bytes_across_thread_counts(self):
+        # No BLAS call runs over the points, so the thread count may not
+        # move a byte, on clouds large enough for OpenBLAS to use threads.
+        src = str(Path(orthofit.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2", "4"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            proc = subprocess.run(
+                [sys.executable, "-c", _THREAD_PROBE], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(json.loads(proc.stdout))
+        assert digests[0] == digests[1] == digests[2]
 
 
 class TestCanonicalDirection:
