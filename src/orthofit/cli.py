@@ -314,13 +314,21 @@ def cmd_compare(args) -> int:
         lse_line = lse.line
         lse_orth = total_orthogonal_distance(points, lse_line)
         # The orthogonal fit minimizes exactly this quantity, so any other
-        # line scoring better means the fitter is broken, not the data. The
-        # slack is the rounding of a total measured from the rounded anchor,
-        # c eps (1 + offset / spread) xi, with spread = sqrt(lam1 / n) and
-        # offset the anchor's distance from the origin.
-        spread = math.sqrt(tls.eigen.spectrum[0] / tls.n_points)
-        slack = ROUNDING_C * math.ulp(1.0) * (1.0 + math.hypot(*tls.line.anchor) / spread)
-        if lse_orth - tls.total_sq_distance < -slack * tls.moments.total_sq_norm:
+        # line scoring better means the fitter is broken, not the data. In
+        # exact arithmetic the explicit line cannot: an anchor moved off the
+        # centroid by delta adds n |delta_perp|^2 to a line's total (the
+        # centered cloud sums to zero), so the anchor's rounding can only
+        # raise it. Only the two totals' own rounding can put it below. Both
+        # sum squared rejections of differences, x - anchor here and the
+        # centered cloud in the fit, and a difference of floats rounds
+        # relative to its own size, not to the offset (it is exact where x
+        # and the anchor are within a factor two). Those sizes are the
+        # spread and |delta|, an ulp of the offset, whose n |delta|^2 is
+        # (eps offset / spread)^2 of xi: nothing until the spread nears the
+        # coordinates' own ulp. So each total rounds as at the origin,
+        # within c eps xi (Invariance's total bound at offset 0).
+        slack = ROUNDING_C * math.ulp(1.0) * tls.moments.total_sq_norm
+        if lse_orth - tls.total_sq_distance < -slack:
             raise InvariantViolation(
                 f"explicit-fit line scored {lse_orth!r}, below the orthogonal "
                 f"minimum {tls.total_sq_distance!r}"

@@ -46,7 +46,6 @@ class EigenSolution:
             geometry.canonical_direction, the normalization ParametricLine
             applies; a line built from that column has these bytes.
         rayleigh: Rayleigh quotient of direction with the input matrix.
-        stationarity_residual: |A s - rayleigh s| for the returned direction.
         ambiguous: True when the top two eigenvalues are too close for the
             dominant eigenvector to be well determined.
         spectrum: all eigenvalues, descending.
@@ -56,7 +55,6 @@ class EigenSolution:
 
     direction: np.ndarray
     rayleigh: float
-    stationarity_residual: float
     ambiguous: bool
     spectrum: np.ndarray
     eigenvectors: np.ndarray
@@ -88,13 +86,12 @@ def dominant_eigenpair(matrix) -> EigenSolution:
     The input passes one gate, geometry._symmetric_scaled: validated,
     scaled by the power of two that brings its largest entry into [0.5, 1),
     checked for symmetry and symmetrized, in that order. Everything runs on
-    that copy: the rotations, the skip test, the Rayleigh quotient and the
-    residual. The scaling is exact, so at ordinary magnitudes the bits are
-    those of the unscaled iteration, and the skip test's eps / 2 is
-    relative to the input's largest entry at any magnitude. The spectrum,
-    the Rayleigh quotient and the residual are scaled back by the same
-    power of two (geometry._pow2_restored); the eigenvectors need no
-    scaling back.
+    that copy: the rotations, the skip test and the Rayleigh quotient. The
+    scaling is exact, so at ordinary magnitudes the bits are those of the
+    unscaled iteration, and the skip test's eps / 2 is relative to the
+    input's largest entry at any magnitude. The spectrum and the Rayleigh
+    quotient are scaled back by the same power of two
+    (geometry._pow2_restored); the eigenvectors need no scaling back.
 
     Args:
         matrix: square symmetric array (checked to geometry.SYMMETRY_RTOL
@@ -103,10 +100,10 @@ def dominant_eigenpair(matrix) -> EigenSolution:
 
     Raises:
         DimensionMismatch: if the input is not a 2-d array, or is 0 x 0.
-        NonFinite: if an entry is NaN or infinite, or if an eigenvalue,
-            the Rayleigh quotient or the residual scaled back leaves the
-            float64 range (a finite matrix with entries near the float64
-            maximum can have eigenvalues beyond it).
+        NonFinite: if an entry is NaN or infinite, or if an eigenvalue or
+            the Rayleigh quotient scaled back leaves the float64 range (a
+            finite matrix with entries near the float64 maximum can have
+            eigenvalues beyond it).
         NotSymmetric: if the input is not square or not symmetric.
         NoConvergence: if the MAX_SWEEPS-th sweep still rotates a pair.
     """
@@ -159,17 +156,15 @@ def dominant_eigenpair(matrix) -> EigenSolution:
 
     direction = canonical_direction(vectors[:, 0])
     rayleigh = float(direction @ (a0 @ direction))
-    residual = float(np.linalg.norm(a0 @ direction - rayleigh * direction))
     top = max(abs(spectrum[0]), np.finfo(np.float64).tiny)
     ambiguous = d >= 2 and bool((spectrum[0] - spectrum[1]) / top < AMBIGUITY_GAP)
 
-    scaled_back = _pow2_restored([rayleigh, residual, *spectrum], exp)
+    scaled_back = _pow2_restored([rayleigh, *spectrum], exp)
     return EigenSolution(
         direction=direction,
         rayleigh=float(scaled_back[0]),
-        stationarity_residual=float(scaled_back[1]),
         ambiguous=ambiguous,
-        spectrum=scaled_back[2:],
+        spectrum=scaled_back[1:],
         eigenvectors=vectors,
     )
 

@@ -62,8 +62,7 @@ def scaled_bytes(moved, base, k) -> bool:
         moved.line.direction.tobytes() == base.line.direction.tobytes()
         and np.array_equal(moved.line.anchor, np.ldexp(base.line.anchor, k))
         and np.array_equal(moved.eigen.spectrum, np.ldexp(base.eigen.spectrum, 2 * k))
-        and moved.eigen.stationarity_residual
-        == math.ldexp(base.eigen.stationarity_residual, 2 * k)
+        and moved.eigen.rayleigh == math.ldexp(base.eigen.rayleigh, 2 * k)
     )
 
 

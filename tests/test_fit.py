@@ -316,13 +316,7 @@ class TestVerticalResidual:
             vertical_residual_sq(ps, line)
 
 
-CHECK_NAMES = [
-    "stationarity-residual",
-    "gradient-norm",
-    "objective-consistency",
-    "grid-agreement",
-    "spectrum-cubic",
-]
+CHECK_NAMES = ["decomposition", "objective-consistency", "grid-agreement"]
 
 
 @pytest.fixture()
@@ -355,10 +349,7 @@ class TestCheckFit:
         assert records["grid-agreement"] == CheckRecord(
             "grid-agreement", "SKIP", reason="grid oracle covers dim <= 3, input is 5"
         )
-        assert records["spectrum-cubic"] == CheckRecord(
-            "spectrum-cubic", "SKIP", reason="closed form covers dim 3, input is 5"
-        )
-        assert [r.status for r in records.values()][:3] == ["PASS"] * 3
+        assert [r.status for r in records.values()][:2] == ["PASS"] * 2
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
     @pytest.mark.parametrize("resolution", [0.0, -1.0, 20.0, math.nan])

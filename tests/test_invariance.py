@@ -9,7 +9,7 @@ that over the gap lam1 - lam2. With one constant c = 16 and relgap =
 | transform | the fit keeps |
 |---|---|
 | coordinate sign flips | the bytes of direction, anchor and spectrum |
-| 2^k scaling, abs(k) <= 480 | direction bytes; anchor, spectrum, residual exactly scaled |
+| 2^k scaling, abs(k) <= 480 | direction bytes; anchor, spectrum, Rayleigh quotient exactly scaled |
 | rotations, row order, 10^e scaling | c eps / relgap |
 | coordinate permutations | c eps / relgap, not bytes: the Jacobi sweeps in coordinate order |
 | translations with Q and Q - o exact | c eps / relgap, and the anchor to an ulp of o |

@@ -1,12 +1,12 @@
 """Fits do not depend on the cloud's magnitude.
 
 The solver works on the scatter scaled by a power of two that brings its
-largest entry into [0.5, 1), so its stopping norms, Rayleigh quotient and
-residual neither underflow nor overflow. Scaling the points by 2^k is exact
-and scales the moments by exactly 4^k while they stay normal floats, so for
+largest entry into [0.5, 1), so its stopping norms and Rayleigh quotient
+neither underflow nor overflow. Scaling the points by 2^k is exact and
+scales the moments by exactly 4^k while they stay normal floats, so for
 abs(k) <= 480 the fit of the scaled cloud has the same direction bytes and
-an anchor, spectrum and residual exactly 2^k and 4^k times the unscaled
-ones. Scaling by 10^e rounds each coordinate, so there the direction may
+an anchor, spectrum and Rayleigh quotient exactly 2^k and 4^k times the
+unscaled ones. Scaling by 10^e rounds each coordinate, so there the direction may
 move by conftest.invariance_bounds, c eps / relgap.
 
 At every 2^k with k in [-1100, 1100] and every finite 10^e the fit meets

@@ -27,7 +27,6 @@ def _eigen_fields():
     return {
         "direction": np.array([1.0, 0.0]),
         "rayleigh": 1.0,
-        "stationarity_residual": 0.0,
         "ambiguous": False,
         "spectrum": np.array([1.0, 0.5]),
         "eigenvectors": np.eye(2),
