@@ -37,12 +37,7 @@ from .geometry import (
 )
 from .oracle import GridSearchResult, cubic_eigenvalues, grid_search_direction
 from .scatter import ScatterSummary, accumulate_scatter
-from .solver import (
-    EigenSolution,
-    dominant_eigenpair,
-    finite_diff_gradient,
-    quadratic_objective,
-)
+from .solver import EigenSolution, dominant_eigenpair
 
 __version__ = "0.1.0"
 
@@ -70,12 +65,10 @@ __all__ = [
     "center",
     "cubic_eigenvalues",
     "dominant_eigenpair",
-    "finite_diff_gradient",
     "fit_lse_explicit",
     "fit_tls_line",
     "grid_search_direction",
     "line_distances_sq",
-    "quadratic_objective",
     "total_orthogonal_distance",
     "vertical_residual_sq",
 ]

@@ -40,7 +40,6 @@ from .fit import (
     check_fit,
     fit_lse_explicit,
     fit_tls_line,
-    total_orthogonal_distance,
     vertical_residual_sq,
 )
 from .geometry import ROUNDING_C, PointSet, _unit, line_distances_sq
@@ -304,7 +303,7 @@ def cmd_compare(args) -> int:
     tls = fit_tls_line(points)
     tls_vertical = vertical_residual_sq(points, tls.line, args.dependent_col)
     doc: dict = {"tls": {**_fit_document(tls), "vertical_residual_sq": tls_vertical}}
-    lse_line = None
+    lse_line = lse_sq = None
     ratio = None
     try:
         lse = fit_lse_explicit(points, args.dependent_col)
@@ -312,7 +311,10 @@ def cmd_compare(args) -> int:
         doc["lse"] = {"error": str(exc)}
     else:
         lse_line = lse.line
-        lse_orth = total_orthogonal_distance(points, lse_line)
+        # One pass of the per-point distances serves the total here and the
+        # csv's lse_sq column; the total is total_orthogonal_distance's sum.
+        lse_sq = line_distances_sq(points, lse_line)
+        lse_orth = float(np.sum(lse_sq))
         # The orthogonal fit minimizes exactly this quantity, so any other
         # line scoring better means the fitter is broken, not the data. In
         # exact arithmetic the explicit line cannot: an anchor moved off the
@@ -349,7 +351,7 @@ def cmd_compare(args) -> int:
     if args.format == "json":
         text = json.dumps(doc, indent=2) + "\n"
     elif args.format == "csv":
-        text = _compare_csv(points, tls, lse_line)
+        text = _compare_csv(tls, lse_line, lse_sq)
     else:
         text = _compare_table(doc)
     _write_output(args.output, text)
@@ -385,17 +387,16 @@ def _compare_table(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _compare_csv(points, tls, lse_line) -> str:
+def _compare_csv(tls, lse_line, lse_sq) -> str:
     lines = [
         f"# tls_direction: {_repr_vec(tls.line.direction)}",
     ]
     if lse_line is not None:
         lines.append(f"# lse_direction: {_repr_vec(lse_line.direction)}")
         lines.append("index,tls_sq,lse_sq")
-        lse_per = line_distances_sq(points, lse_line).tolist()
         lines.extend(
             f"{i},{a!r},{b!r}"
-            for i, (a, b) in enumerate(zip(tls.per_point_sq.tolist(), lse_per))
+            for i, (a, b) in enumerate(zip(tls.per_point_sq.tolist(), lse_sq.tolist()))
         )
     else:
         lines.append("index,tls_sq")

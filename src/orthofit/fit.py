@@ -33,7 +33,7 @@ from .geometry import (
 )
 from .oracle import grid_search_direction
 from .scatter import ScatterSummary, accumulate_scatter
-from .solver import EigenSolution, dominant_eigenpair, quadratic_objective
+from .solver import EigenSolution, dominant_eigenpair
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,10 +296,12 @@ def check_fit(points: PointSet, resolution_deg: float) -> tuple[CheckRecord, ...
     right solve fails it. The first column of Omega V - V Lambda,
     Omega s - lam1 s, is at least the eigen-residual |Omega s - rho s|, as
     the Rayleigh quotient rho minimizes it over scalars.
-    objective-consistency compares five values of the minimum objective:
-    the summed distances, the quadratic form at the direction, xi minus the
-    Rayleigh quotient, xi minus the spectrum's largest value, and the
-    spectrum's sum less its first value. The grid check runs in dimensions
+    objective-consistency compares three values of the minimum objective
+    xi - lam1 (the paper's D(s) = xi - s^T Omega s at the dominant
+    eigenvector): the summed distances, xi minus the solver's Rayleigh
+    quotient, and xi minus the spectrum's largest value. Each reads a part
+    of the fit that the other two do not: the per-point distances, the
+    Rayleigh quotient and the spectrum. The grid check runs in dimensions
     2 and 3 at resolution_deg, and is a SKIP elsewhere.
 
     Every tolerance is c = geometry.ROUNDING_C times a model of the rounding
@@ -324,13 +326,18 @@ def check_fit(points: PointSet, resolution_deg: float) -> tuple[CheckRecord, ...
       and Mary, SIAM J. Sci. Comput. 41, 2019), well inside. The model
       reads nothing of how the solver stops, so it holds for eigh too.
     * objective-consistency, c (n + d) eps xi: gamma_n of the n-term sums
-      (the distances, xi, the scatter) and gamma_d of the d-term forms and
-      of the spectrum's sum (Higham 2002, ch. 3). gamma_n, not a pairwise
-      sum's log n bound, is the worst case, because four of the five routes
-      read the scatter. Its einsum("ij,ik->jk") runs down two contiguous
-      columns of the column-major cloud, in two interleaved sequential sums
-      of about n / 2 products each, even rows and odd rows, which it adds
-      at the end (numpy's two-lane loop; on a seeded 20000 x 3 cloud every
+      (the distances' total, xi, the scatter) and gamma_d of the d-term
+      ones (each point's dot and squared rejection, the Rayleigh quotient's
+      form) (Higham 2002, ch. 3). The spectrum's largest value is the
+      scatter's lam1 up to the solver's backward error, of order d eps xi
+      (Weyl's inequality and the decomposition model above), and the
+      Rayleigh quotient at the computed direction is lam1 up to a term
+      second order in the direction's error. gamma_n, not a pairwise sum's
+      log n bound, is the worst case, because two of the three routes read
+      the scatter. Its einsum("ij,ik->jk") runs down two contiguous columns
+      of the column-major cloud, in two interleaved sequential sums of
+      about n / 2 products each, even rows and odd rows, which it adds at
+      the end (numpy's two-lane loop; on a seeded 20000 x 3 cloud every
       entry equals that model bit for bit, and neither a single sequential
       sum nor np.sum of the same products does). So each entry rounds by
       at most gamma_(n/2 + 1). xi and the distances' total are np.sum's
@@ -350,28 +357,22 @@ def check_fit(points: PointSet, resolution_deg: float) -> tuple[CheckRecord, ...
         raise ValueError(f"resolution_deg must be in (0, 10], got {resolution_deg}")
     result = fit_tls_line(points)
     moments, eigen = result.moments, result.eigen
-    direction = result.line.direction
     xi, n, d = moments.total_sq_norm, moments.n_points, points.dim
-    # The diagnostics read one copy of the scatter, scaled by the power of
-    # two that brings its largest entry into [0.5, 1) (the solver's rule),
-    # so none of their products or norms can overflow or underflow at any
-    # cloud scale; measured values are scaled back. The products are
+    # The decomposition reads one copy of the scatter, scaled by the power
+    # of two that brings its largest entry into [0.5, 1) (the solver's
+    # rule), so none of its products or norms can overflow or underflow at
+    # any cloud scale; the measured value is scaled back. The products are
     # einsum's, not BLAS calls.
     scatter, exp = _pow2_scaled(moments.scatter)
-    scaled = ScatterSummary(math.ldexp(xi, -exp), scatter, n)
-    v = np.column_stack([direction, eigen.eigenvectors[:, 1:]])
+    v = np.column_stack([result.line.direction, eigen.eigenvectors[:, 1:]])
     lam = np.ldexp(eigen.spectrum, -exp)
     r = np.einsum("ij,jk->ik", scatter, v) - v * lam
     g = np.einsum("ji,jk->ik", v, v) - np.eye(d)
     residual, orthogonality = (math.sqrt(np.einsum("ij,ij->", m, m)) for m in (r, g))
     decomposition = math.ldexp(max(residual, orthogonality * abs(lam[0])), exp)
-    objective = math.ldexp(quadratic_objective(scaled, direction), exp)
-    routes = [result.total_sq_distance, objective, xi - eigen.rayleigh]
     spectrum = eigen.spectrum.tolist()
-    # The spectrum gives the minimum twice more: xi less its largest value,
-    # and its sum less its first value, the sum of the lower eigenvalues.
-    routes += [xi - max(spectrum), math.fsum(spectrum) - spectrum[0]]
-    disagreement = max(abs(a - b) for a in routes for b in routes)
+    routes = (result.total_sq_distance, xi - eigen.rayleigh, xi - max(spectrum))
+    disagreement = float(np.ptp(routes))
     # Each tolerance is its rounding model (see above) in units of c eps xi,
     # which cannot overflow: every model is far below 1 / eps.
     unit = ROUNDING_C * math.ulp(1.0) * xi

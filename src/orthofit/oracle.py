@@ -1,6 +1,6 @@
 """Independent cross-checks for the fitter.
 
-Two deliberately different routes to the same answers live here:
+Deliberately different routes to the same answers live here:
 
 * grid_search_direction scores a dense grid of candidate directions from
   the cloud's own d x d scatter, in closed separable form over the grid's
@@ -8,10 +8,14 @@ Two deliberately different routes to the same answers live here:
   building the grid: two float64 scores per node at most.
 * cubic_eigenvalues solves the 3x3 characteristic polynomial in closed
   trigonometric form, with no iteration involved.
+* cross_matrix and rejection_matrix give the paper's per-point form of the
+  objective: the rejection matrix (x.x) I - x x^T, whose sum over a cloud
+  is the complement xi I - Omega, and its 3-d factorization T^T T through
+  the cross-product matrix T.
 
-Both are slower or narrower than the production path on purpose; they exist
-so the fitter can be validated against something that shares none of its
-code.
+They are slower or narrower than the production path on purpose; they
+exist so the fitter can be validated against something that shares none
+of its code.
 """
 
 from __future__ import annotations
@@ -22,7 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, UnsupportedDimension
-from .geometry import PointSet, _freeze, _pow2_restored, _symmetric_scaled, canonical_direction
+from .geometry import (
+    PointSet,
+    _as_array,
+    _freeze,
+    _pow2_restored,
+    _symmetric_scaled,
+    canonical_direction,
+)
 
 @dataclass(frozen=True, eq=False)
 class GridSearchResult:
@@ -177,3 +188,36 @@ def cubic_eigenvalues(matrix) -> np.ndarray:
     lam3 = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
     lam2 = 3.0 * q - lam1 - lam3
     return _pow2_restored(np.sort(np.array([lam1, lam2, lam3]))[::-1], exp)
+
+
+def cross_matrix(a) -> np.ndarray:
+    """Skew-symmetric 3x3 matrix T with T @ s == cross(a, s).
+
+    Only defined for 3-vectors; raises DimensionMismatch otherwise.
+    """
+    a = _as_array(a, "axis")
+    if a.shape != (3,):
+        raise DimensionMismatch(f"cross_matrix needs a 3-vector, got dimension {a.shape[0]}")
+    ax, ay, az = a
+    return np.array(
+        [
+            [0.0, -az, ay],
+            [az, 0.0, -ax],
+            [-ay, ax, 0.0],
+        ]
+    )
+
+
+def rejection_matrix(x) -> np.ndarray:
+    """Matrix of the map s -> (x.x) s - (x.s) x, i.e. (x.x) I - x x^T.
+
+    Applied to a unit vector s, the quadratic form s^T M s is the squared
+    orthogonal distance of x from the line through the origin along s. The
+    matrix is symmetric positive semidefinite with x in its null space; in
+    three dimensions it factors as cross_matrix(x).T @ cross_matrix(x).
+    """
+    x = _as_array(x, "point")
+    d = x.shape[0]
+    if d < 2:
+        raise DimensionMismatch(f"rejection_matrix needs dimension >= 2, got {d}")
+    return (x @ x) * np.eye(d) - np.outer(x, x)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch, NonFinite
-from .geometry import ROUNDING_C, PointSet, _as_array, _freeze, _readonly
+from .errors import DegenerateInput, NonFinite
+from .geometry import ROUNDING_C, PointSet, _freeze, _readonly
 
 
 def min_total_sq_norm(n_points: int, dim: int) -> float:
@@ -35,39 +35,6 @@ def min_total_sq_norm(n_points: int, dim: int) -> float:
     at least n d^2 2^-1075 / (c eps).
     """
     return math.ldexp(n_points * dim * dim / (ROUNDING_C * math.ulp(1.0)), -1075)
-
-
-def cross_matrix(a) -> np.ndarray:
-    """Skew-symmetric 3x3 matrix T with T @ s == cross(a, s).
-
-    Only defined for 3-vectors; raises DimensionMismatch otherwise.
-    """
-    a = _as_array(a, "axis")
-    if a.shape != (3,):
-        raise DimensionMismatch(f"cross_matrix needs a 3-vector, got dimension {a.shape[0]}")
-    ax, ay, az = a
-    return np.array(
-        [
-            [0.0, -az, ay],
-            [az, 0.0, -ax],
-            [-ay, ax, 0.0],
-        ]
-    )
-
-
-def rejection_matrix(x) -> np.ndarray:
-    """Matrix of the map s -> (x.x) s - (x.s) x, i.e. (x.x) I - x x^T.
-
-    Applied to a unit vector s, the quadratic form s^T M s is the squared
-    orthogonal distance of x from the line through the origin along s. The
-    matrix is symmetric positive semidefinite with x in its null space; in
-    three dimensions it factors as cross_matrix(x).T @ cross_matrix(x).
-    """
-    x = _as_array(x, "point")
-    d = x.shape[0]
-    if d < 2:
-        raise DimensionMismatch(f"rejection_matrix needs dimension >= 2, got {d}")
-    return (x @ x) * np.eye(d) - np.outer(x, x)
 
 
 @dataclass(frozen=True, eq=False)

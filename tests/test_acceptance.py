@@ -24,8 +24,13 @@ from orthofit.fit import (
     total_orthogonal_distance,
 )
 from orthofit.geometry import ROUNDING_C, ParametricLine, PointSet, center
-from orthofit.oracle import cubic_eigenvalues, grid_search_direction
-from orthofit.scatter import accumulate_scatter, cross_matrix, rejection_matrix
+from orthofit.oracle import (
+    cross_matrix,
+    cubic_eigenvalues,
+    grid_search_direction,
+    rejection_matrix,
+)
+from orthofit.scatter import accumulate_scatter
 from orthofit.solver import (
     FD_STEP,
     dominant_eigenpair,

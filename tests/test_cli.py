@@ -515,7 +515,7 @@ class TestCompareCommand:
     ):
         # Run in-process so the check is exercised as the library ships it,
         # independent of whether the interpreter strips asserts.
-        monkeypatch.setattr(cli, "total_orthogonal_distance", lambda points, line: 0.0)
+        monkeypatch.setattr(cli, "line_distances_sq", lambda points, line: np.zeros(len(points)))
         code = cli.main(["compare", "--input", str(noisy_cloud), "--format", "json"])
         err = capsys.readouterr().err
         assert code == 1

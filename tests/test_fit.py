@@ -18,6 +18,7 @@ from orthofit.fit import (
     vertical_residual_sq,
 )
 from orthofit.geometry import (
+    ROUNDING_C,
     ParametricLine,
     PointSet,
     center,
@@ -59,16 +60,18 @@ class TestTlsFit:
         assert not fit_tls_line(PointSet(pts)).eigen.ambiguous
 
     def test_objective_routes_agree(self):
-        # Three ways to the same number: per-point sum, quadratic form at
-        # the fitted direction, and total energy minus the Rayleigh value.
-        from orthofit.geometry import center
+        # Three ways to the same number: per-point sum, quadratic form of the
+        # complement at the fitted direction, and total energy minus the
+        # Rayleigh value. check runs the first and the last; the complement
+        # form is held here, to objective-consistency's tolerance.
         from orthofit.scatter import accumulate_scatter
         from orthofit.solver import quadratic_objective
 
         rng = np.random.default_rng(3)
         for trial in range(20):
             dim = (2, 3, 5)[trial % 3]
-            pts = PointSet(rng.uniform(-2.0, 2.0, (int(rng.integers(5, 50)), dim)))
+            n = int(rng.integers(5, 50))
+            pts = PointSet(rng.uniform(-2.0, 2.0, (n, dim)))
             result = fit_tls_line(pts)
             centered, _ = center(pts)
             summary = accumulate_scatter(centered)
@@ -79,7 +82,7 @@ class TestTlsFit:
                 xi - result.eigen.rayleigh,
             )
             spread = max(routes) - min(routes)
-            assert spread <= 1e-9 * xi
+            assert spread <= (n + dim) * ROUNDING_C * math.ulp(1.0) * xi
 
     def test_per_point_values(self):
         rng = np.random.default_rng(4)

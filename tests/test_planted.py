@@ -1,8 +1,8 @@
 """Planted defects on the fit path, and which `check` records catch them.
 
 Each defect below is patched into one stage of fit_tls_line (centering,
-moments, eigensolver, line, distances) or into the moments' complement,
-then check_fit runs on seeded line clouds in d = 2, 3 and 5. The matrix of
+moments, eigensolver, line, distances), then check_fit runs on seeded line
+clouds in d = 2, 3 and 5. The matrix of
 defect x dimension x record says which records FAIL. Three rules hold
 (mutation analysis; DeMillo, Lipton & Sayward 1978):
 
@@ -31,7 +31,6 @@ from conftest import line_cloud
 
 from orthofit import fit, solver
 from orthofit.geometry import PointSet, canonical_direction
-from orthofit.scatter import ScatterSummary
 
 DIMS = (2, 3, 5)
 SEEDS = (0, 1, 2)
@@ -155,15 +154,6 @@ def _plant_exponent(monkeypatch):
     monkeypatch.setattr(solver, "_pow2_restored", lambda a, exp: real(a, exp + 1))
 
 
-def _plant_complement_sign(monkeypatch):
-    """The complement built as xi I + Omega."""
-    monkeypatch.setattr(
-        ScatterSummary,
-        "complement",
-        property(lambda m: m.total_sq_norm * np.eye(m.dim) + m.scatter),
-    )
-
-
 def _plant_dropped_distance(monkeypatch):
     """The last point's distance left out of the per-point squares."""
     real = fit._rejection_sq
@@ -187,7 +177,6 @@ DEFECTS = {
     "centroid-shift-1e-1": _plant_centroid_shift,
     "line-turned-1e-7": _plant_line_turn,
     "exponent-off-by-one": _plant_exponent,
-    "complement-sign": _plant_complement_sign,
     "dropped-distance": _plant_dropped_distance,
 }
 

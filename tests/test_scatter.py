@@ -5,12 +5,8 @@ from hypothesis import strategies as st
 
 from orthofit.errors import DegenerateInput, DimensionMismatch
 from orthofit.geometry import ParametricLine, PointSet, line_distances_sq
-from orthofit.scatter import (
-    ScatterSummary,
-    accumulate_scatter,
-    cross_matrix,
-    rejection_matrix,
-)
+from orthofit.oracle import cross_matrix, rejection_matrix
+from orthofit.scatter import ScatterSummary, accumulate_scatter
 from orthofit.solver import dominant_eigenpair
 
 coord = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)

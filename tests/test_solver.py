@@ -463,15 +463,19 @@ class TestMinimality:
 def test_removed_names_are_gone():
     # The eigen-residual has one route (check's decomposition record) and
     # the analytic gradient one (stationarity_forms' complement form).
-    # The 3-d factorization and the stationarity forms stay in their modules
-    # for the acceptance criteria, but leave the package namespace.
+    # The 3-d factorization (in oracle, not scatter), the stationarity
+    # forms, the quadratic form and its finite-difference gradient stay for
+    # the acceptance criteria, but leave the package namespace.
     import orthofit
-    from orthofit import errors
+    from orthofit import errors, scatter
 
     for name in ("stationarity_residual", "objective_gradient", "NotUnit", "cross_matrix",
-                 "rejection_matrix", "stationarity_forms"):
+                 "rejection_matrix", "stationarity_forms", "quadratic_objective",
+                 "finite_diff_gradient"):
         assert name not in orthofit.__all__
         assert not hasattr(orthofit, name)
     assert not hasattr(solver, "stationarity_residual")
+    assert not hasattr(scatter, "cross_matrix")
+    assert not hasattr(scatter, "rejection_matrix")
     assert not hasattr(solver, "objective_gradient")
     assert not hasattr(errors, "NotUnit")
