@@ -3,7 +3,11 @@
 fit_tls_line is the main entry point: it fits a line minimizing the summed
 squared orthogonal distances (total least squares). fit_lse_explicit is the
 classical baseline that minimizes vertical residuals of an explicit form
-y = w . x + b, centered by geometry.center and solved by numpy.linalg.lstsq.
+y = w . x + b, centered by geometry.center and solved by numpy.linalg.lstsq,
+the module's one BLAS or LAPACK call over the points: every projection of
+the points on a vector (the distances, the explicit residuals,
+vertical_residual_sq's line parameters) is geometry._row_dots's sum in
+coordinate order, so its bytes do not depend on the BLAS thread count.
 It carries its graph as a line through the same centroid the orthogonal fit
 uses, so the two can be scored by the same metric on the same data, where
 the orthogonal fit is never worse and is often much better once the data is
@@ -27,6 +31,7 @@ from .geometry import (
     _freeze,
     _pow2_scaled,
     _rejection_sq,
+    _row_dots,
     _unit,
     center,
     line_distances_sq,
@@ -211,7 +216,7 @@ def fit_lse_explicit(points: PointSet, dependent_col: int = -1) -> ExplicitFitRe
         raise RankDeficient(f"independent coordinates have rank {rank}, need {d - 1}")
 
     with np.errstate(over="ignore", invalid="ignore"):
-        residuals = x @ w - y
+        residuals = _row_dots(x, w) - y
         residual_sq = float(np.sum(residuals * residuals))
         offset = float(c[dep] - w @ c[keep])
     if not np.isfinite((residual_sq, offset)).all():
@@ -250,7 +255,7 @@ def vertical_residual_sq(
     if denom == 0.0:
         return None
     offsets = points.points[:, keep] - line.anchor[keep]
-    t = (offsets @ s_ind) / denom
+    t = _row_dots(offsets, s_ind) / denom
     predicted = line.anchor[dep] + t * line.direction[dep]
     gaps = points.points[:, dep] - predicted
     return float(np.sum(gaps * gaps))
@@ -296,13 +301,12 @@ def check_fit(points: PointSet, resolution_deg: float) -> tuple[CheckRecord, ...
     right solve fails it. The first column of Omega V - V Lambda,
     Omega s - lam1 s, is at least the eigen-residual |Omega s - rho s|, as
     the Rayleigh quotient rho minimizes it over scalars.
-    objective-consistency compares three values of the minimum objective
+    objective-consistency compares two values of the minimum objective
     xi - lam1 (the paper's D(s) = xi - s^T Omega s at the dominant
-    eigenvector): the summed distances, xi minus the solver's Rayleigh
-    quotient, and xi minus the spectrum's largest value. Each reads a part
-    of the fit that the other two do not: the per-point distances, the
-    Rayleigh quotient and the spectrum. The grid check runs in dimensions
-    2 and 3 at resolution_deg, and is a SKIP elsewhere.
+    eigenvector): the summed distances, read from each point's rejection
+    off the line's direction, and xi less the spectrum's largest value,
+    read from the moments and the solver's eigenvalues. The grid check
+    runs in dimensions 2 and 3 at resolution_deg, and is a SKIP elsewhere.
 
     Every tolerance is c = geometry.ROUNDING_C times a model of the rounding
     its route carries, for an (n, d) cloud of total squared norm xi, which
@@ -326,22 +330,26 @@ def check_fit(points: PointSet, resolution_deg: float) -> tuple[CheckRecord, ...
       and Mary, SIAM J. Sci. Comput. 41, 2019), well inside. The model
       reads nothing of how the solver stops, so it holds for eigh too.
     * objective-consistency, c (n + d) eps xi: gamma_n of the n-term sums
-      (the distances' total, xi, the scatter) and gamma_d of the d-term
-      ones (each point's dot and squared rejection, the Rayleigh quotient's
-      form) (Higham 2002, ch. 3). The spectrum's largest value is the
-      scatter's lam1 up to the solver's backward error, of order d eps xi
-      (Weyl's inequality and the decomposition model above), and the
-      Rayleigh quotient at the computed direction is lam1 up to a term
-      second order in the direction's error. gamma_n, not a pairwise sum's
-      log n bound, is the worst case, because two of the three routes read
-      the scatter. Its einsum("ij,ik->jk") runs down two contiguous columns
-      of the column-major cloud, in two interleaved sequential sums of
-      about n / 2 products each, even rows and odd rows, which it adds at
-      the end (numpy's two-lane loop; on a seeded 20000 x 3 cloud every
-      entry equals that model bit for bit, and neither a single sequential
-      sum nor np.sum of the same products does). So each entry rounds by
-      at most gamma_(n/2 + 1). xi and the distances' total are np.sum's
-      pairwise sums.
+      and gamma_d of the d-term ones (Higham 2002, ch. 3), route by route.
+      The summed distances are, in exact arithmetic on the centered cloud,
+      xi - rho, with rho the Rayleigh quotient of Omega at the computed
+      direction; each point's dot and squared rejection are d-term sums
+      (gamma_d), and their total is np.sum's pairwise n-term sum. The
+      direction is an exact eigenvector of some Omega + E, |E| of order
+      d eps xi (the decomposition model above), so rho is that matrix's
+      top eigenvalue up to |E|, at any spectral gap. On the other route xi
+      is the sum of the scatter's d diagonal entries (gamma_d), so both
+      xi and the spectrum inherit the scatter's rounding, and the
+      spectrum's largest value is the scatter's lam1 up to the solver's
+      backward error, of order d eps xi (Weyl's inequality). The scatter
+      is where gamma_n, not a pairwise sum's log n bound, is the worst
+      case: its einsum("ij,ik->jk") runs down two contiguous columns of
+      the column-major cloud, in two interleaved sequential sums of about
+      n / 2 products each, even rows and odd rows, which it adds at the
+      end (numpy's two-lane loop; on a seeded 20000 x 3 cloud every entry
+      equals that model bit for bit, and neither a single sequential sum
+      nor np.sum of the same products does). So each entry, and each
+      eigenvalue, rounds by at most gamma_(n/2 + 1) xi.
     * grid-agreement, accepted in [-c n eps xi, quantization + c n eps xi].
       The quantization (lam1 - lam_d) sin^2(resolution_deg) bounds how far
       the best grid node's objective may sit above the minimum; the oracle's
@@ -371,8 +379,7 @@ def check_fit(points: PointSet, resolution_deg: float) -> tuple[CheckRecord, ...
     residual, orthogonality = (math.sqrt(np.einsum("ij,ij->", m, m)) for m in (r, g))
     decomposition = math.ldexp(max(residual, orthogonality * abs(lam[0])), exp)
     spectrum = eigen.spectrum.tolist()
-    routes = (result.total_sq_distance, xi - eigen.rayleigh, xi - max(spectrum))
-    disagreement = float(np.ptp(routes))
+    disagreement = abs(result.total_sq_distance - (xi - max(spectrum)))
     # Each tolerance is its rounding model (see above) in units of c eps xi,
     # which cannot overflow: every model is far below 1 / eps.
     unit = ROUNDING_C * math.ulp(1.0) * xi

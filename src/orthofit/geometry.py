@@ -280,6 +280,22 @@ def center(points: PointSet) -> tuple[PointSet, np.ndarray]:
     return PointSet(np.subtract(y, shift, out=y)), c
 
 
+def _row_dots(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Each row's dot product with s, sum_j x_j s_j, added in coordinate
+    order: the one rule by which the library projects points on a vector.
+
+    It is one elementwise numpy operation per coordinate down the column of
+    every row at once; no BLAS call is made. So each row's value depends on
+    its own coordinates alone, and its bytes not on the BLAS thread count,
+    on x's memory layout, or on the rows around it, as a matrix-vector
+    product's would. s must have at least one entry.
+    """
+    dot = x[:, 0] * s[0]
+    for j in range(1, len(s)):
+        dot += x[:, j] * s[j]
+    return dot
+
+
 def _rejection_sq(x: np.ndarray, s: np.ndarray, anchor: np.ndarray | None = None) -> np.ndarray:
     """Squared norm of each row's rejection y - (y.s)s from the unit s, for
     the rows y of x - anchor (of x itself when anchor is None).
@@ -292,7 +308,7 @@ def _rejection_sq(x: np.ndarray, s: np.ndarray, anchor: np.ndarray | None = None
     close to the line come out with full relative accuracy instead of
     cancellation noise.
 
-    Both sums over coordinates, the dot y.s = sum_j y_j s_j and the squared
+    Both sums over coordinates, the dot y.s (_row_dots) and the squared
     norm sum_j r_j^2 of the rejection r = y - (y.s)s, are added in
     coordinate order, one elementwise numpy operation per coordinate down
     the column of every row at once; no BLAS call is made. So each row's
@@ -306,9 +322,7 @@ def _rejection_sq(x: np.ndarray, s: np.ndarray, anchor: np.ndarray | None = None
         y = x[start : start + _BLOCK_ROWS]
         if anchor is not None:
             y = y - anchor
-        dot = y[:, 0] * s[0]
-        for j in range(1, len(s)):
-            dot += y[:, j] * s[j]
+        dot = _row_dots(y, s)
         sq = out[start : start + _BLOCK_ROWS]
         for j in range(len(s)):
             r = y[:, j] - dot * s[j]

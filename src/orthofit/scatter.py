@@ -44,7 +44,8 @@ class ScatterSummary:
     These are the central moments when the cloud came from geometry.center.
 
     Attributes:
-        total_sq_norm: sum of |x_p|^2 over the cloud (the trace of scatter).
+        total_sq_norm: the trace of scatter, which is the sum of |x_p|^2
+            over the cloud.
         scatter: sum of outer products x_p x_p^T, symmetric PSD.
         n_points: number of points accumulated.
     """
@@ -75,12 +76,13 @@ def accumulate_scatter(centered: PointSet) -> ScatterSummary:
 
     Any cloud is accepted. Its moments are the central ones, which the fit
     needs, when `centered` comes from geometry.center; nothing here
-    re-checks that. The scatter is one np.einsum("ij,ik->jk") reduction and
-    the total squared norm one numpy sum, both summed in an order fixed by
-    the array's shape and not by the BLAS thread count, so the result is
-    reproducible for identical input on any number of threads. einsum forms
-    entries (j, k) and (k, j) from the same products summed in the same
-    order, so the scatter is exactly symmetric.
+    re-checks that. The scatter is one np.einsum("ij,ik->jk") reduction,
+    summed in an order fixed by the array's shape and not by the BLAS
+    thread count, so the result is reproducible for identical input on any
+    number of threads. The total squared norm xi is the scatter's trace,
+    the sum of its d diagonal entries, not a second pass over the cloud.
+    einsum forms entries (j, k) and (k, j) from the same products summed in
+    the same order, so the scatter is exactly symmetric.
 
     Raises:
         NonFinite: if the moments overflow float64, as they do once the
@@ -95,8 +97,8 @@ def accumulate_scatter(centered: PointSet) -> ScatterSummary:
     """
     pts = centered.points
     with np.errstate(over="ignore", invalid="ignore"):
-        total_sq_norm = float(np.sum(pts * pts))
         omega = np.einsum("ij,ik->jk", pts, pts)
+        total_sq_norm = float(np.trace(omega))
     if not (np.isfinite(total_sq_norm) and np.isfinite(omega).all()):
         raise NonFinite("the second moments overflow float64")
     floor = min_total_sq_norm(*pts.shape)

@@ -310,8 +310,8 @@ def test_criterion_09_degenerate_contracts(tmp_path):
     cross = PointSet(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]))
     result = fit_tls_line(cross)
     assert result.eigen.ambiguous
-    xi = float(np.sum(result.eigen.spectrum))
-    assert result.total_sq_distance == xi - result.eigen.rayleigh == 2.0
+    xi = result.moments.total_sq_norm
+    assert result.total_sq_distance == xi - result.eigen.spectrum[0] == 2.0
 
     vertical = PointSet(np.array([[2.0, 0.0], [2.0, 1.0], [2.0, 5.0]]))
     with pytest.raises(RankDeficient):

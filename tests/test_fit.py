@@ -51,8 +51,8 @@ class TestTlsFit:
         result = fit_tls_line(pts)
         assert result.eigen.ambiguous
         assert result.total_sq_distance == 2.0
-        xi = float(np.sum(result.eigen.spectrum))
-        assert result.total_sq_distance == xi - result.eigen.rayleigh
+        xi = result.moments.total_sq_norm
+        assert result.total_sq_distance == xi - result.eigen.spectrum[0]
 
     def test_unambiguous_for_line_like_cloud(self):
         rng = np.random.default_rng(2)
@@ -62,8 +62,8 @@ class TestTlsFit:
     def test_objective_routes_agree(self):
         # Three ways to the same number: per-point sum, quadratic form of the
         # complement at the fitted direction, and total energy minus the
-        # Rayleigh value. check runs the first and the last; the complement
-        # form is held here, to objective-consistency's tolerance.
+        # dominant eigenvalue. check runs the first and the last; the
+        # complement form is held here, to objective-consistency's tolerance.
         from orthofit.scatter import accumulate_scatter
         from orthofit.solver import quadratic_objective
 
@@ -79,7 +79,7 @@ class TestTlsFit:
             routes = (
                 result.total_sq_distance,
                 quadratic_objective(summary, result.line.direction),
-                xi - result.eigen.rayleigh,
+                xi - result.eigen.spectrum[0],
             )
             spread = max(routes) - min(routes)
             assert spread <= (n + dim) * ROUNDING_C * math.ulp(1.0) * xi

@@ -221,11 +221,12 @@ class TestBlockedRejections:
 
 
 # Fits two clouds above OpenBLAS's threading size and prints the sha256 of
-# the per-point squares, the direction and line_distances_sq's output.
+# the per-point squares, the direction, line_distances_sq's output and the
+# fitted line's vertical_residual_sq.
 _THREAD_PROBE = """
 import hashlib, json
 import numpy as np
-from orthofit.fit import fit_tls_line
+from orthofit.fit import fit_tls_line, vertical_residual_sq
 from orthofit.geometry import PointSet, line_distances_sq
 digests = []
 for n, d in ((200001, 12), (70001, 50)):
@@ -234,7 +235,9 @@ for n, d in ((200001, 12), (70001, 50)):
     x = t * rng.normal(size=d) + rng.normal(0.0, 0.3, (n, d)) + 1e3 * rng.normal(size=d)
     points = PointSet(x)
     result = fit_tls_line(points)
-    for out in (result.per_point_sq, result.line.direction, line_distances_sq(points, result.line)):
+    vertical = np.float64(vertical_residual_sq(points, result.line))
+    for out in (result.per_point_sq, result.line.direction, line_distances_sq(points, result.line),
+                vertical):
         digests.append(hashlib.sha256(out.tobytes()).hexdigest())
 print(json.dumps(digests))
 """

@@ -91,6 +91,17 @@ def test_scatter_and_total_sq_norm_match_loop(pts):
 
 @settings(deadline=None, max_examples=300)
 @given(pts=clouds)
+def test_total_sq_norm_is_the_scatter_trace(pts):
+    # xi is the scatter's diagonal summed, not a second pass over the cloud.
+    try:
+        summary = accumulate_scatter(center(PointSet(pts))[0])
+    except DegenerateInput:
+        return
+    assert summary.total_sq_norm == float(np.trace(summary.scatter))
+
+
+@settings(deadline=None, max_examples=300)
+@given(pts=clouds)
 def test_total_sq_distance_matches_loop(pts):
     points = PointSet(pts)
     try:

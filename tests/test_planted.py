@@ -49,12 +49,9 @@ def _clouds(dim):
     ]
 
 
-def _taking(sol, matrix, v, **changes):
-    """sol with eigenvectors v, v's first column as its direction, and the
-    Rayleigh quotient taken on matrix at that column."""
-    s = v[:, 0]
-    rayleigh = float(s @ np.asarray(matrix) @ s)
-    return dataclasses.replace(sol, direction=s, rayleigh=rayleigh, eigenvectors=v, **changes)
+def _taking(sol, v, **changes):
+    """sol with eigenvectors v and v's first column as its direction."""
+    return dataclasses.replace(sol, direction=v[:, 0], eigenvectors=v, **changes)
 
 
 def _turned(v, theta):
@@ -78,15 +75,15 @@ def _interior_shift(sol, matrix):
 SOLVER_DEFECTS = {
     # The lambda-2 pair returned as the dominant one, spectrum unchanged.
     "second-pair": lambda sol, a: _taking(
-        sol, a, sol.eigenvectors[:, [1, 0, *range(2, a.shape[0])]]
+        sol, sol.eigenvectors[:, [1, 0, *range(2, a.shape[0])]]
     ),
     # The pairs sorted ascending: the smallest taken as the dominant one.
     "ascending-order": lambda sol, a: _taking(
-        sol, a, sol.eigenvectors[:, ::-1], spectrum=sol.spectrum[::-1]
+        sol, sol.eigenvectors[:, ::-1], spectrum=sol.spectrum[::-1]
     ),
-    "rotated-1e-4": lambda sol, a: _taking(sol, a, _turned(sol.eigenvectors, 1e-4)),
-    "rotated-1e-7": lambda sol, a: _taking(sol, a, _turned(sol.eigenvectors, 1e-7)),
-    "rotated-1e-11": lambda sol, a: _taking(sol, a, _turned(sol.eigenvectors, 1e-11)),
+    "rotated-1e-4": lambda sol, a: _taking(sol, _turned(sol.eigenvectors, 1e-4)),
+    "rotated-1e-7": lambda sol, a: _taking(sol, _turned(sol.eigenvectors, 1e-7)),
+    "rotated-1e-11": lambda sol, a: _taking(sol, _turned(sol.eigenvectors, 1e-11)),
     # The line's column is turned after the solve; eigen.direction is not.
     "line-rotated-1e-5": lambda sol, a: dataclasses.replace(
         sol, eigenvectors=_turned(sol.eigenvectors, 1e-5)
@@ -102,9 +99,6 @@ SOLVER_DEFECTS = {
         sol, spectrum=sol.spectrum * (1.0 + 1e-6)
     ),
     "interior-shift-1e-6": _interior_shift,
-    "rayleigh-scaled-1e-6": lambda sol, a: dataclasses.replace(
-        sol, rayleigh=sol.rayleigh * (1.0 + 1e-6)
-    ),
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -45,7 +46,6 @@ class TestDominantEigenpair:
     def test_diagonal_matrix(self):
         sol = dominant_eigenpair(np.diag([3.0, 2.0, 1.0]))
         assert np.array_equal(sol.direction, np.array([1.0, 0.0, 0.0]))
-        assert sol.rayleigh == 3.0
         assert np.array_equal(sol.spectrum, np.array([3.0, 2.0, 1.0]))
         assert not sol.ambiguous
 
@@ -53,7 +53,6 @@ class TestDominantEigenpair:
         sol = dominant_eigenpair(np.eye(3))
         assert sol.ambiguous
         assert np.array_equal(sol.spectrum, np.ones(3))
-        assert sol.rayleigh == 1.0
 
     def test_zero_matrix(self):
         sol = dominant_eigenpair(np.zeros((3, 3)))
@@ -130,7 +129,9 @@ class TestDominantEigenpair:
         base = dominant_eigenpair(a)
         scaled = dominant_eigenpair(10.0 * a)
         assert np.max(np.abs(scaled.direction - base.direction)) <= 1e-12
-        assert abs(scaled.rayleigh - 10.0 * base.rayleigh) <= 1e-12 * abs(scaled.rayleigh)
+        # The top eigenvalue is the Rayleigh quotient's value at the direction.
+        top, base_top = scaled.spectrum[0], base.spectrum[0]
+        assert abs(top - 10.0 * base_top) <= 1e-12 * abs(top)
 
     def test_ambiguity_threshold(self):
         near = dominant_eigenpair(np.diag([1.0, 1.0 - 1e-9, 0.5]))
@@ -188,11 +189,11 @@ class TestDominantEigenpair:
 def per_entry_jacobi(matrix):
     """The cyclic Jacobi with one scalar update per matrix entry, the
     reference dominant_eigenpair's column rotations must match bit for bit;
-    returns (spectrum, eigenvectors, direction, rayleigh) as it reports
-    them. It skips a pair whose entry is at most eps / 2 and stops
-    after a sweep that skips every pair."""
-    a0, exp = _symmetric_scaled(matrix)
-    a, d = a0.copy(), a0.shape[0]
+    returns (spectrum, eigenvectors, direction) as it reports them. It
+    skips a pair whose entry is at most eps / 2 and stops after a sweep
+    that skips every pair."""
+    a, exp = _symmetric_scaled(matrix)
+    d = a.shape[0]
     v = np.eye(d)
     for _ in range(solver.MAX_SWEEPS):
         rotated = False
@@ -228,10 +229,8 @@ def per_entry_jacobi(matrix):
             break
     order = np.argsort(-np.diag(a), kind="stable")
     vectors = _canonical_signs(v[:, order])
-    top = canonical_direction(vectors[:, 0])
-    rayleigh = float(top @ (a0 @ top))
     spectrum = np.ldexp(np.diag(a)[order], exp)
-    return spectrum, vectors, top, math.ldexp(rayleigh, exp)
+    return spectrum, vectors, canonical_direction(vectors[:, 0])
 
 
 def rotation_cases():
@@ -260,11 +259,10 @@ def test_column_rotations_match_the_per_entry_sweep_bit_for_bit():
     # scales 2^+-500, zero, diagonal, tied and nearly diagonal matrices.
     for m in rotation_cases():
         sol = dominant_eigenpair(m)
-        spectrum, vectors, direction, rayleigh = per_entry_jacobi(m)
+        spectrum, vectors, direction = per_entry_jacobi(m)
         assert sol.spectrum.tobytes() == spectrum.tobytes()
         assert sol.eigenvectors.tobytes() == vectors.tobytes()
         assert sol.direction.tobytes() == direction.tobytes()
-        assert np.float64(sol.rayleigh).tobytes() == np.float64(rayleigh).tobytes()
 
 
 def adversarial_matrices():
@@ -465,7 +463,8 @@ def test_removed_names_are_gone():
     # the analytic gradient one (stationarity_forms' complement form).
     # The 3-d factorization (in oracle, not scatter), the stationarity
     # forms, the quadratic form and its finite-difference gradient stay for
-    # the acceptance criteria, but leave the package namespace.
+    # the acceptance criteria, but leave the package namespace. The
+    # solver reports no Rayleigh quotient: the top eigenvalue is spectrum[0].
     import orthofit
     from orthofit import errors, scatter
 
@@ -479,3 +478,4 @@ def test_removed_names_are_gone():
     assert not hasattr(scatter, "rejection_matrix")
     assert not hasattr(solver, "objective_gradient")
     assert not hasattr(errors, "NotUnit")
+    assert "rayleigh" not in {f.name for f in dataclasses.fields(solver.EigenSolution)}

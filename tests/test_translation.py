@@ -91,14 +91,14 @@ def test_explicit_fit_is_scale_invariant(record, k):
 
 
 @pytest.mark.parametrize("offset", (*OFFSETS, 1e15))
-def test_total_matches_energy_minus_rayleigh(record, offset):
-    # Taken on the centered cloud, the total is xi - rayleigh at any offset.
+def test_total_matches_energy_minus_top_eigenvalue(record, offset):
+    # Taken on the centered cloud, the total is xi - lam1 at any offset.
     for seed in range(CLOUDS_PER_OFFSET):
         q, _ = offset_cloud(seed, offset)
         result = fit_tls_line(PointSet(q))
         xi = result.moments.total_sq_norm
-        aggregate = abs(result.total_sq_distance - (xi - result.eigen.rayleigh))
-        assert record("total = xi - rayleigh", aggregate / invariance_bounds(result)[2]) <= 1.0
+        aggregate = abs(result.total_sq_distance - (xi - result.eigen.spectrum[0]))
+        assert record("total = xi - lam1", aggregate / invariance_bounds(result)[2]) <= 1.0
 
 
 def gen(path, *flags):

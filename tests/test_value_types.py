@@ -26,7 +26,6 @@ from orthofit import (
 def _eigen_fields():
     return {
         "direction": np.array([1.0, 0.0]),
-        "rayleigh": 1.0,
         "ambiguous": False,
         "spectrum": np.array([1.0, 0.5]),
         "eigenvectors": np.eye(2),
