@@ -131,7 +131,7 @@ def fit_tls_line(points: PointSet) -> LineFitResult:
     per_point = _rejection_sq(centered.points, line.direction)
     return LineFitResult(
         line=line,
-        total_sq_distance=float(np.sum(per_point)),
+        total_sq_distance=float(per_point.sum()),
         per_point_sq=per_point,
         eigen=eigen,
         moments=moments,
@@ -371,7 +371,7 @@ def check_fit(points: PointSet, resolution_deg: float) -> tuple[CheckRecord, ...
     # rule), so none of its products or norms can overflow or underflow at
     # any cloud scale; the measured value is scaled back. The products are
     # einsum's, not BLAS calls.
-    scatter, exp = _pow2_scaled(moments.scatter)
+    scatter, exp, _ = _pow2_scaled(moments.scatter)
     v = np.column_stack([result.line.direction, eigen.eigenvectors[:, 1:]])
     lam = np.ldexp(eigen.spectrum, -exp)
     r = np.einsum("ij,jk->ik", scatter, v) - v * lam

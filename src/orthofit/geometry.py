@@ -68,28 +68,31 @@ def _freeze(obj, *fields: str) -> None:
 
 
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip each column so its first component above SIGN_EPS is positive.
+    """Flip each column of a matrix, or a lone 1-d vector, so that its
+    first component above SIGN_EPS is positive.
 
-    A column with no component above SIGN_EPS in magnitude is left as is.
+    A vector with no component above SIGN_EPS in magnitude is left as is.
     """
     lead = (np.abs(vectors) > SIGN_EPS).argmax(axis=0)
-    first = vectors[lead, np.arange(vectors.shape[1])]
+    first = vectors[lead] if vectors.ndim == 1 else vectors[lead, np.arange(vectors.shape[1])]
     return np.where(first < -SIGN_EPS, -vectors, vectors)
 
 
-def _pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """a scaled into (-1, 1) by a power of two, and that power's exponent.
+def _pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """a scaled into (-1, 1) by a power of two, that power's exponent, and
+    the scaled array's largest magnitude.
 
     The power of two is the one that brings max|a| into [0.5, 1) (frexp
     and ldexp), so squares and sums of squares of the scaled entries can
-    neither overflow nor underflow; an all-zero a keeps exponent 0. The
-    scaling is exact, save for entries some 2^1022 times smaller than the
-    largest, so a result computed from the scaled array and scaled back by
-    ldexp with the exponent has, at ordinary magnitudes, the bits of the
-    unscaled computation.
+    neither overflow nor underflow; an all-zero a keeps exponent 0 and has
+    largest magnitude 0. The scaling is exact, save for entries some 2^1022
+    times smaller than the largest, so a result computed from the scaled
+    array and scaled back by ldexp with the exponent has, at ordinary
+    magnitudes, the bits of the unscaled computation; the largest magnitude
+    is frexp's mantissa, exactly that of the scaled array.
     """
-    exp = math.frexp(float(np.max(np.abs(a), initial=0.0)))[1]
-    return np.ldexp(a, -exp), exp
+    top, exp = math.frexp(float(np.abs(a).max(initial=0.0)))
+    return np.ldexp(a, -exp), exp, top
 
 
 def _symmetric_scaled(matrix) -> tuple[np.ndarray, int]:
@@ -120,9 +123,8 @@ def _symmetric_scaled(matrix) -> tuple[np.ndarray, int]:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
     if a.size == 0:
         raise DimensionMismatch("matrix is empty")
-    a, exp = _pow2_scaled(a)
-    scale = float(np.max(np.abs(a)))
-    skew = float(np.max(np.abs(a - a.T)))
+    a, exp, scale = _pow2_scaled(a)
+    skew = float(np.abs(a - a.T).max())
     if skew > SYMMETRY_RTOL * scale:
         with np.errstate(over="ignore"):
             skew, scale = np.ldexp([skew, scale], exp)
@@ -157,8 +159,8 @@ def _unit(v: np.ndarray, name: str = "direction") -> np.ndarray:
     Raises:
         ZeroVector: if v is all zeros (or empty), naming it by name.
     """
-    w, _ = _pow2_scaled(v)
-    if not w.any():
+    w, _, top = _pow2_scaled(v)
+    if top == 0.0:
         raise ZeroVector(f"{name} has zero length")
     return w / np.linalg.norm(w)
 
@@ -177,7 +179,7 @@ def canonical_direction(v) -> np.ndarray:
     Raises:
         ZeroVector: if v has zero norm.
     """
-    return _canonical_signs(_unit(_as_array(v, "direction"))[:, None])[:, 0]
+    return _canonical_signs(_unit(_as_array(v, "direction")))
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,13 +255,15 @@ class ParametricLine:
 def center(points: PointSet) -> tuple[PointSet, np.ndarray]:
     """Shift a point set so its mean is at the origin, in two passes.
 
-    The first pass subtracts numpy's column mean; the second subtracts the
+    The first pass subtracts the column means; the second subtracts the
     mean of what is left (the corrected two-pass rule of Chan, Golub and
     LeVeque, 1983). The residual mean is rounding from the first pass, so
     removing it leaves the centered cloud's mean at rounding level relative
     to its own spread, not to its offset. A cloud of identical points comes
-    back as exactly zero. Every step is a numpy reduction or elementwise
-    operation, deterministic for a fixed array shape.
+    back as exactly zero. Each mean is np.add.reduce down the columns
+    divided by n, the computation of numpy's own mean; every step is a
+    numpy reduction or elementwise operation, deterministic for a fixed
+    array shape.
 
     Returns:
         (centered, c): the centered point set and the centroid c, the sum of
@@ -270,10 +274,11 @@ def center(points: PointSet) -> tuple[PointSet, np.ndarray]:
             float64 maximum can, even though every input is finite.
     """
     pts = points.points
+    n = len(pts)
     with np.errstate(over="ignore", invalid="ignore"):
-        first = pts.mean(axis=0)
+        first = np.add.reduce(pts, axis=0) / n
         y = pts - first
-        shift = y.mean(axis=0)
+        shift = np.add.reduce(y, axis=0) / n
         c = first + shift
     if not np.isfinite(c).all():
         raise NonFinite("centering the points overflows float64")
@@ -311,11 +316,13 @@ def _rejection_sq(x: np.ndarray, s: np.ndarray, anchor: np.ndarray | None = None
     Both sums over coordinates, the dot y.s (_row_dots) and the squared
     norm sum_j r_j^2 of the rejection r = y - (y.s)s, are added in
     coordinate order, one elementwise numpy operation per coordinate down
-    the column of every row at once; no BLAS call is made. So each row's
-    value depends on its own coordinates alone, and its bytes not on the
-    BLAS thread count, on x's memory layout, or on the rows around it. The
-    rows are taken _BLOCK_ROWS at a time into one preallocated output, so
-    the temporaries are a block's size, not the cloud's.
+    the column of every row at once; no BLAS call is made. The rejection
+    itself is three whole-block operations, broadcast and in place, in the
+    block's own memory order. So each row's value depends on its own
+    coordinates alone, and its bytes not on the BLAS thread count, on x's
+    memory layout, or on the rows around it. The rows are taken _BLOCK_ROWS
+    at a time into one preallocated output, so the temporaries are a
+    block's size, not the cloud's.
     """
     out = np.zeros(len(x))
     for start in range(0, len(x), _BLOCK_ROWS):
@@ -323,10 +330,14 @@ def _rejection_sq(x: np.ndarray, s: np.ndarray, anchor: np.ndarray | None = None
         if anchor is not None:
             y = y - anchor
         dot = _row_dots(y, s)
+        r = np.multiply(dot[:, None], s, out=np.empty_like(y))
+        np.subtract(y, r, out=r)
+        np.multiply(r, r, out=r)
         sq = out[start : start + _BLOCK_ROWS]
         for j in range(len(s)):
-            r = y[:, j] - dot * s[j]
-            sq += r * r
+            sq += r[:, j]
+        # Freed before the next block's offsets are made.
+        del y, dot, r
     return out
 
 

@@ -98,8 +98,8 @@ def accumulate_scatter(centered: PointSet) -> ScatterSummary:
     pts = centered.points
     with np.errstate(over="ignore", invalid="ignore"):
         omega = np.einsum("ij,ik->jk", pts, pts)
-        total_sq_norm = float(np.trace(omega))
-    if not (np.isfinite(total_sq_norm) and np.isfinite(omega).all()):
+        total_sq_norm = float(omega.trace())
+    if not (math.isfinite(total_sq_norm) and np.isfinite(omega).all()):
         raise NonFinite("the second moments overflow float64")
     floor = min_total_sq_norm(*pts.shape)
     if total_sq_norm < floor:

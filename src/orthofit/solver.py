@@ -8,11 +8,14 @@ dense matrices produced here converges in a handful of sweeps. It stops at
 float64's own rounding floor, with no tolerance to tune: a rotation is
 skipped when its entry is at most one ulp of the matrix's largest entry
 (Rutishauser, 1966), and the iteration ends after a sweep that skips every
-pair.
+pair. The sweep is written once (_rotations); the matrix and its
+eigenvectors it turns are lists of Python floats up to d = _SCALAR_MAX_DIM
+and one numpy array above it, with the same bytes either way.
 
 Nothing here is configurable. The module constant MAX_SWEEPS fixes the
 iteration's sweep budget, FD_STEP the finite-difference step, and
-AMBIGUITY_GAP the ambiguity flag.
+AMBIGUITY_GAP the ambiguity flag; _SCALAR_MAX_DIM, the measured speed
+crossover of the two representations, moves no byte.
 """
 
 from __future__ import annotations
@@ -34,6 +37,12 @@ AMBIGUITY_GAP = 1e-8
 MAX_SWEEPS = 64
 # Step of the central differences in finite_diff_gradient.
 FD_STEP = 1e-5
+# dominant_eigenpair rotates lists of Python floats up to this dimension
+# and a numpy array above it: their measured crossover. One Jacobi on a
+# random matrix, lists against array, best of 5 on a 2-CPU Xeon: d = 20
+# 5.5 against 6.3 ms, d = 24 10.0 against 9.9 ms, d = 30 20 against 16 ms,
+# d = 50 98 against 50 ms.
+_SCALAR_MAX_DIM = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,12 +83,18 @@ def dominant_eigenpair(matrix) -> EigenSolution:
     ends after a sweep that skips every pair; it gives up when the
     MAX_SWEEPS-th sweep still rotates.
 
-    The matrix and its eigenvectors are one (2d, d) array, the matrix on
+    The matrix and its eigenvectors are one (2d, d) block, the matrix on
     top and the accumulated rotations below, so a rotation turns columns p
-    and q of both at once: two elementwise column updates, no matrix
-    product and no loop over entries. Rows p and q of the matrix are then
+    and q of both at once: each entry x of column p and y of column q
+    becomes c x - s y and s x + c y. Rows p and q of the matrix are then
     copied from its new columns, and the two diagonal entries and the
-    annihilated pair set by the closed-form update.
+    annihilated pair set by the closed-form update. The block is held in
+    one of two representations, whichever turns a column pair faster at
+    the matrix's size: up to _SCALAR_MAX_DIM, the crossover measured
+    between the two, as lists of rows of Python floats, one scalar update
+    per entry; above it, as a numpy array, two elementwise column updates.
+    Both run the one sweep of _rotations and do, entry for entry, the same
+    float64 operations in the same order, so they give the same bytes.
 
     The input passes one gate, geometry._symmetric_scaled: validated,
     scaled by the power of two that brings its largest entry into [0.5, 1),
@@ -108,50 +123,12 @@ def dominant_eigenpair(matrix) -> EigenSolution:
     """
     a0, exp = _symmetric_scaled(matrix)
     d = a0.shape[0]
-    av = np.concatenate([a0, np.eye(d)])
-    a, v = av[:d], av[d:]
+    av = (_scalar_jacobi if d <= _SCALAR_MAX_DIM else _array_jacobi)(a0)
 
-    for _ in range(MAX_SWEEPS):
-        rotated = False
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                # Scalars are read as Python floats (.item), whose
-                # arithmetic is float64's, without numpy scalar overhead.
-                apq = a.item(p, q)
-                # Skip entries at most eps / 2: one ulp of the largest
-                # entry, which _symmetric_scaled puts in [0.5, 1).
-                if abs(apq) <= 2.0**-53:
-                    continue
-                rotated = True
-                # t = sign(tau) / (|tau| + sqrt(tau^2 + 1)) with
-                # tau = diff / (2 apq), multiplied through by 2 apq so that
-                # neither tau nor tau^2 is formed.
-                app, aqq = a.item(p, p), a.item(q, q)
-                diff = aqq - app
-                if diff == 0.0:
-                    t = 1.0
-                else:
-                    two_apq = 2.0 * apq
-                    denom = abs(diff) + math.hypot(diff, two_apq)
-                    t = math.copysign(1.0, diff) * two_apq / denom
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-
-                x, y = av[:, p], av[:, q]
-                av[:, p], av[:, q] = c * x - s * y, s * x + c * y
-                a[p], a[q] = a[:, p], a[:, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-        if not rotated:
-            break
-    else:
-        raise NoConvergence(f"the Jacobi iteration still rotates after {MAX_SWEEPS} sweeps")
-
-    eigenvalues = np.diag(a).copy()
+    eigenvalues = av[:d].diagonal()
     order = np.argsort(-eigenvalues, kind="stable")
     spectrum = eigenvalues[order]
-    vectors = _canonical_signs(v[:, order])
+    vectors = _canonical_signs(av[d:, order])
 
     top = max(abs(spectrum[0]), np.finfo(np.float64).tiny)
     ambiguous = d >= 2 and bool((spectrum[0] - spectrum[1]) / top < AMBIGUITY_GAP)
@@ -161,6 +138,84 @@ def dominant_eigenpair(matrix) -> EigenSolution:
         spectrum=_pow2_restored(spectrum, exp),
         eigenvectors=vectors,
     )
+
+
+def _rotations(entry, d: int):
+    """The cyclic Jacobi sweep over a d x d matrix whose entry (i, j) is
+    entry(i, j), a Python float (whose arithmetic is float64's).
+
+    Yields each rotation as (p, q, c, s, app, aqq): the pair, the cosine
+    and sine of its angle, and the new diagonal entries a_pp and a_qq. The
+    caller applies the rotation before the next entry is read. Raises
+    NoConvergence when the MAX_SWEEPS-th sweep still rotates.
+    """
+    for _ in range(MAX_SWEEPS):
+        rotated = False
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                apq = entry(p, q)
+                # Skip entries at most eps / 2: one ulp of the largest
+                # entry, which _symmetric_scaled puts in [0.5, 1).
+                if abs(apq) <= 2.0**-53:
+                    continue
+                rotated = True
+                # t = sign(tau) / (|tau| + sqrt(tau^2 + 1)) with
+                # tau = diff / (2 apq), multiplied through by 2 apq so that
+                # neither tau nor tau^2 is formed.
+                app, aqq = entry(p, p), entry(q, q)
+                diff = aqq - app
+                if diff == 0.0:
+                    t = 1.0
+                else:
+                    two_apq = 2.0 * apq
+                    denom = abs(diff) + math.hypot(diff, two_apq)
+                    t = math.copysign(1.0, diff) * two_apq / denom
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                yield p, q, c, t * c, app - t * apq, aqq + t * apq
+        if not rotated:
+            return
+    raise NoConvergence(f"the Jacobi iteration still rotates after {MAX_SWEEPS} sweeps")
+
+
+def _array_jacobi(a0: np.ndarray) -> np.ndarray:
+    """The Jacobi of a scaled symmetric (d, d) matrix on one (2d, d) numpy
+    array: the diagonalized matrix over its eigenvectors' columns."""
+    d = a0.shape[0]
+    av = np.concatenate([a0, np.eye(d)])
+    a = av[:d]
+    # .item reads a Python float without numpy scalar overhead.
+    for p, q, c, s, app, aqq in _rotations(a.item, d):
+        x, y = av[:, p], av[:, q]
+        x, y = c * x - s * y, s * x + c * y
+        # The closed-form 2 x 2 block goes into the new columns before they
+        # are stored, so rows p and q copy it with them.
+        x[p], x[q], y[p], y[q] = app, 0.0, 0.0, aqq
+        av[:, p], av[:, q] = x, y
+        a[p], a[q] = x[:d], y[:d]
+    return av
+
+
+def _scalar_jacobi(a0: np.ndarray) -> np.ndarray:
+    """_array_jacobi's result, from 2d lists of d Python floats: the same
+    float64 operations, without numpy's per-call cost, which rules at
+    small d."""
+    d = a0.shape[0]
+    av = np.concatenate([a0, np.eye(d)]).tolist()
+    a = av[:d]
+    for p, q, c, s, app, aqq in _rotations(lambda i, j: a[i][j], d):
+        for row in av:
+            x = row[p]
+            y = row[q]
+            row[p] = c * x - s * y
+            row[q] = s * x + c * y
+        ap, aq = a[p], a[q]
+        for k in range(d):
+            ap[k] = a[k][p]
+            aq[k] = a[k][q]
+        ap[p] = app
+        aq[q] = aqq
+        ap[q] = aq[p] = 0.0
+    return np.array(av)
 
 
 def _rows_and_norms(summary: ScatterSummary, s) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -165,10 +166,13 @@ class TestDominantEigenpair:
         sol = dominant_eigenpair(a)
         assert abs(sol.spectrum[0] - 3.0) <= 1e-9
 
-    def test_no_convergence_with_one_sweep(self, monkeypatch):
+    # One dimension on each side of the crossover, so both
+    # representations give up.
+    @pytest.mark.parametrize("d", [6, solver._SCALAR_MAX_DIM + 1])
+    def test_no_convergence_with_one_sweep(self, monkeypatch, d):
         monkeypatch.setattr(solver, "MAX_SWEEPS", 1)
         rng = np.random.default_rng(41)
-        a = random_symmetric(rng, 6)
+        a = random_symmetric(rng, d)
         with pytest.raises(NoConvergence):
             dominant_eigenpair(a)
 
@@ -233,11 +237,12 @@ def per_entry_jacobi(matrix):
     return spectrum, vectors, canonical_direction(vectors[:, 0])
 
 
-def rotation_cases():
+def rotation_cases(dims=range(1, 17), reps=3):
+    """reps matrices of each of five kinds for each d in dims."""
     rng = np.random.default_rng(2024)
-    for i in range(240):
-        d = 1 + i % 16
-        kind = i // 16 % 5
+    for i in range(len(dims) * 5 * reps):
+        d = dims[i % len(dims)]
+        kind = i // len(dims) % 5
         if kind == 0:
             m = random_symmetric(rng, d)
         elif kind == 1:
@@ -265,11 +270,12 @@ def test_column_rotations_match_the_per_entry_sweep_bit_for_bit():
         assert sol.direction.tobytes() == direction.tobytes()
 
 
-def adversarial_matrices():
-    """Symmetric matrices of d 2-30 that are hard on a Jacobi iteration:
-    random, rank 1 and 2, a cluster of equal eigenvalues, spectra graded
-    down to 1e-20 and small integers, each scaled by 2^-1000, 1 and 2^1000."""
-    for d in (2, 3, 5, 8, 12, 20, 30):
+def adversarial_matrices(dims=(2, 3, 5, 8, 12, 20, 30)):
+    """Symmetric matrices of each d in dims that are hard on a Jacobi
+    iteration: random, rank 1 and 2, a cluster of equal eigenvalues,
+    spectra graded down to 1e-20 and small integers, each scaled by
+    2^-1000, 1 and 2^1000."""
+    for d in dims:
         for seed in range(3):
             rng = np.random.default_rng([d, seed])
             q, _ = np.linalg.qr(rng.standard_normal((d, d)))
@@ -285,6 +291,28 @@ def adversarial_matrices():
             ):
                 for k in (-1000, 0, 1000):
                     yield np.ldexp(0.5 * (m + m.T), k)
+
+
+def test_both_representations_give_the_same_bytes():
+    # Each kernel run directly on the scaled matrix, for every d from 1 to
+    # twice the crossover and past it, the crossover d and d + 1 among
+    # them: the lists of Python floats and the numpy array end in the same
+    # bytes, diagonal and eigenvectors alike.
+    crossover = solver._SCALAR_MAX_DIM
+    cases = itertools.chain(
+        rotation_cases(range(1, 2 * crossover + 2), reps=1),
+        adversarial_matrices((2, 5, 12, crossover, crossover + 1, 30)),
+    )
+    seen = set()
+    for m in cases:
+        a0, _ = _symmetric_scaled(m)
+        # Scales that leave the kernels the same scaled matrix run once.
+        if a0.tobytes() in seen:
+            continue
+        seen.add(a0.tobytes())
+        scalar, array = solver._scalar_jacobi(a0), solver._array_jacobi(a0)
+        assert scalar.shape == array.shape == (2 * len(m), len(m))
+        assert scalar.tobytes() == array.tobytes()
 
 
 def test_adversarial_matrices_converge():

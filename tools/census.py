@@ -2,8 +2,11 @@
 
 Writes a fixed, seeded set of input files into a temporary directory:
 
-* 54 `gen` files of 300 points: dimensions 2, 3, 4, 5, 8 and 12, anchors
-  0, 1e3 and 1e9 (every component), sigma 0.1, 1e-3 and 0;
+* 63 `gen` files of 300 points: dimensions 2, 3, 4, 5, 8, 12 and 30,
+  anchors 0, 1e3 and 1e9 (every component), sigma 0.1, 1e-3 and 0. The
+  eigensolver turns lists of Python floats up to its crossover dimension
+  (solver._SCALAR_MAX_DIM) and a numpy array above it; d = 30 puts the
+  array kernel in the census;
 * a copy of each scaled by 2^-500, 2^-300, 2^300 and 2^500, which is exact
   while the coordinates stay normal floats;
 * malformed and edge files: a bad token, a short row, one column, `inf`, a
@@ -45,7 +48,7 @@ from pathlib import Path
 
 from orthofit import cli
 
-DIMS = (2, 3, 4, 5, 8, 12)
+DIMS = (2, 3, 4, 5, 8, 12, 30)
 ANCHORS = (("0", 0.0), ("1e3", 1e3), ("1e9", 1e9))
 SIGMAS = ("0.1", "1e-3", "0")
 SCALES = (-500, -300, 300, 500)
