@@ -67,15 +67,27 @@ def _freeze(obj, *fields: str) -> None:
         object.__setattr__(obj, field, _readonly(value))
 
 
+def _lead_sign(values) -> float:
+    """-1.0 if the first of values above SIGN_EPS in magnitude is negative,
+    else 1.0 (also when none is above it): one Python scan, on floats."""
+    for x in values:
+        if abs(x) > SIGN_EPS:
+            return -1.0 if x < 0.0 else 1.0
+    return 1.0
+
+
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip each column of a matrix, or a lone 1-d vector, so that its
     first component above SIGN_EPS is positive.
 
-    A vector with no component above SIGN_EPS in magnitude is left as is.
+    Each column is scanned once, as Python floats, to that component
+    (_lead_sign), and multiplied by -1.0 or 1.0, which negates it or keeps
+    its bytes. A vector with no component above SIGN_EPS in magnitude is
+    left as is.
     """
-    lead = (np.abs(vectors) > SIGN_EPS).argmax(axis=0)
-    first = vectors[lead] if vectors.ndim == 1 else vectors[lead, np.arange(vectors.shape[1])]
-    return np.where(first < -SIGN_EPS, -vectors, vectors)
+    if vectors.ndim == 1:
+        return vectors * _lead_sign(vectors.tolist())
+    return vectors * [_lead_sign(column) for column in vectors.T.tolist()]
 
 
 def _pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, int, float]:
@@ -134,19 +146,22 @@ def _symmetric_scaled(matrix) -> tuple[np.ndarray, int]:
     return 0.5 * (a + a.T), exp
 
 
-def _pow2_restored(a, exp: int) -> np.ndarray:
+def _pow2_restored(values, exp: int) -> list[float]:
     """Eigenvalues found for a matrix from _symmetric_scaled, scaled back
-    by 2^exp (exact wherever the result is a normal float).
+    by 2^exp, as a list of Python floats (exact wherever the result is a
+    normal float).
+
+    Each value goes through math.ldexp, the C ldexp that np.ldexp calls
+    too, so the bytes are np.ldexp's, subnormal results included.
 
     Raises:
         NonFinite: if a value leaves the float64 range, as the eigenvalues
             of a finite matrix with entries near the float64 maximum can.
     """
-    with np.errstate(over="ignore"):
-        back = np.ldexp(a, exp)
-    if not np.isfinite(back).all():
-        raise NonFinite("the eigenvalues exceed the float64 range")
-    return back
+    try:
+        return [math.ldexp(x, exp) for x in values]
+    except OverflowError:
+        raise NonFinite("the eigenvalues exceed the float64 range") from None
 
 
 def _unit(v: np.ndarray, name: str = "direction") -> np.ndarray:
@@ -154,7 +169,9 @@ def _unit(v: np.ndarray, name: str = "direction") -> np.ndarray:
 
     The norm is taken of v scaled by _pow2_scaled, which commutes with the
     norm and the division, so for ordinary magnitudes the result is
-    bit-identical to v / |v|.
+    bit-identical to v / |v|. The norm is math.sqrt(w.dot(w)), which is
+    what np.linalg.norm computes for a 1-d float64 array, without its
+    dispatch.
 
     Raises:
         ZeroVector: if v is all zeros (or empty), naming it by name.
@@ -162,7 +179,7 @@ def _unit(v: np.ndarray, name: str = "direction") -> np.ndarray:
     w, _, top = _pow2_scaled(v)
     if top == 0.0:
         raise ZeroVector(f"{name} has zero length")
-    return w / np.linalg.norm(w)
+    return w / math.sqrt(w.dot(w))
 
 
 def canonical_direction(v) -> np.ndarray:

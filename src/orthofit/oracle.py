@@ -174,7 +174,7 @@ def cubic_eigenvalues(matrix) -> np.ndarray:
 
     off_sq = a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2
     if off_sq == 0.0:
-        return _pow2_restored(np.sort(np.diag(a))[::-1], exp)
+        return np.array(_pow2_restored(np.sort(np.diag(a))[::-1], exp))
 
     q = float(np.trace(a)) / 3.0
     p2 = (a[0, 0] - q) ** 2 + (a[1, 1] - q) ** 2 + (a[2, 2] - q) ** 2 + 2.0 * off_sq
@@ -187,7 +187,7 @@ def cubic_eigenvalues(matrix) -> np.ndarray:
     lam1 = q + 2.0 * p * math.cos(phi)
     lam3 = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
     lam2 = 3.0 * q - lam1 - lam3
-    return _pow2_restored(np.sort(np.array([lam1, lam2, lam3]))[::-1], exp)
+    return np.array(_pow2_restored(np.sort(np.array([lam1, lam2, lam3]))[::-1], exp))
 
 
 def cross_matrix(a) -> np.ndarray:

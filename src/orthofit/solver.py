@@ -8,9 +8,11 @@ dense matrices produced here converges in a handful of sweeps. It stops at
 float64's own rounding floor, with no tolerance to tune: a rotation is
 skipped when its entry is at most one ulp of the matrix's largest entry
 (Rutishauser, 1966), and the iteration ends after a sweep that skips every
-pair. The sweep is written once (_rotations); the matrix and its
-eigenvectors it turns are lists of Python floats up to d = _SCALAR_MAX_DIM
-and one numpy array above it, with the same bytes either way.
+pair. Two kernels run the sweep, each inline: lists of Python floats up
+to d = _SCALAR_MAX_DIM and one numpy array above it, with the same bytes
+either way. The d-sized work after it (the spectrum's order, the
+eigenvectors' signs, the ambiguity flag, the scale-back) runs on Python
+floats too.
 
 Nothing here is configurable. The module constant MAX_SWEEPS fixes the
 iteration's sweep budget, FD_STEP the finite-difference step, and
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, ZeroVector
-from .geometry import _as_array, _canonical_signs, _freeze, _pow2_restored, _symmetric_scaled
+from .geometry import _as_array, _freeze, _lead_sign, _pow2_restored, _symmetric_scaled
 from .geometry import canonical_direction
 from .scatter import ScatterSummary
 
@@ -40,9 +42,9 @@ FD_STEP = 1e-5
 # dominant_eigenpair rotates lists of Python floats up to this dimension
 # and a numpy array above it: their measured crossover. One Jacobi on a
 # random matrix, lists against array, best of 5 on a 2-CPU Xeon: d = 20
-# 5.5 against 6.3 ms, d = 24 10.0 against 9.9 ms, d = 30 20 against 16 ms,
-# d = 50 98 against 50 ms.
-_SCALAR_MAX_DIM = 24
+# 6.1 against 7.7 ms, d = 24 10.2 against 11.7 ms, d = 26 12.4 against
+# 12.8 ms, d = 28 16.0 against 14.8 ms, d = 32 24 against 21 ms.
+_SCALAR_MAX_DIM = 26
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,17 +86,25 @@ def dominant_eigenpair(matrix) -> EigenSolution:
     MAX_SWEEPS-th sweep still rotates.
 
     The matrix and its eigenvectors are one (2d, d) block, the matrix on
-    top and the accumulated rotations below, so a rotation turns columns p
-    and q of both at once: each entry x of column p and y of column q
-    becomes c x - s y and s x + c y. Rows p and q of the matrix are then
-    copied from its new columns, and the two diagonal entries and the
-    annihilated pair set by the closed-form update. The block is held in
-    one of two representations, whichever turns a column pair faster at
-    the matrix's size: up to _SCALAR_MAX_DIM, the crossover measured
-    between the two, as lists of rows of Python floats, one scalar update
-    per entry; above it, as a numpy array, two elementwise column updates.
-    Both run the one sweep of _rotations and do, entry for entry, the same
-    float64 operations in the same order, so they give the same bytes.
+    top and the accumulated rotations below. A rotation turns columns p
+    and q of both: each entry x of column p and y of column q becomes
+    c x - s y and s x + c y, and the two diagonal entries and the
+    annihilated pair take the closed-form update. The block is held in one
+    of two representations, whichever rotates faster at the matrix's size
+    (_SCALAR_MAX_DIM, the crossover measured between the two). Up to it,
+    _scalar_jacobi keeps lists of rows of Python floats and updates each
+    off-diagonal pair (k, p), (k, q) of the matrix once, writing it to both
+    triangles. Above it, _array_jacobi keeps a numpy array and turns whole
+    columns with two elementwise updates, then copies them into rows p and
+    q. Each kernel runs its own sweep, and both do, entry for entry, the
+    same float64 operations in the same order, so they give the same
+    bytes.
+
+    Both return the block as lists of Python floats, and the rest is
+    scalar arithmetic on them: a stable descending sort of the diagonal
+    (the order np.argsort(-x, kind="stable") gives), one gather of the
+    eigenvectors' columns in that order with each column's sign
+    (geometry._lead_sign) applied, and the ambiguity flag.
 
     The input passes one gate, geometry._symmetric_scaled: validated,
     scaled by the power of two that brings its largest entry into [0.5, 1),
@@ -125,97 +135,102 @@ def dominant_eigenpair(matrix) -> EigenSolution:
     d = a0.shape[0]
     av = (_scalar_jacobi if d <= _SCALAR_MAX_DIM else _array_jacobi)(a0)
 
-    eigenvalues = av[:d].diagonal()
-    order = np.argsort(-eigenvalues, kind="stable")
-    spectrum = eigenvalues[order]
-    vectors = _canonical_signs(av[d:, order])
+    # Descending, equal entries in index order: argsort(-x, kind="stable").
+    order = sorted(range(d), key=[av[i][i] for i in range(d)].__getitem__, reverse=True)
+    spectrum = [av[i][i] for i in order]
+    # The eigenvectors' columns in that order, each times its sign.
+    columns = [[row[j] for row in av[d:]] for j in order]
+    columns = [[x * sign for x in col] for col, sign in zip(columns, map(_lead_sign, columns))]
 
-    top = max(abs(spectrum[0]), np.finfo(np.float64).tiny)
-    ambiguous = d >= 2 and bool((spectrum[0] - spectrum[1]) / top < AMBIGUITY_GAP)
+    # The smallest normal float keeps an all-zero spectrum from dividing by 0.
+    top = max(abs(spectrum[0]), 2.0**-1022)
     return EigenSolution(
-        direction=canonical_direction(vectors[:, 0]),
-        ambiguous=ambiguous,
+        direction=canonical_direction(columns[0]),
+        ambiguous=d >= 2 and (spectrum[0] - spectrum[1]) / top < AMBIGUITY_GAP,
         spectrum=_pow2_restored(spectrum, exp),
-        eigenvectors=vectors,
+        eigenvectors=np.array(columns).T,
     )
 
 
-def _rotations(entry, d: int):
-    """The cyclic Jacobi sweep over a d x d matrix whose entry (i, j) is
-    entry(i, j), a Python float (whose arithmetic is float64's).
-
-    Yields each rotation as (p, q, c, s, app, aqq): the pair, the cosine
-    and sine of its angle, and the new diagonal entries a_pp and a_qq. The
-    caller applies the rotation before the next entry is read. Raises
-    NoConvergence when the MAX_SWEEPS-th sweep still rotates.
-    """
+def _array_jacobi(a0: np.ndarray) -> list[list[float]]:
+    """The Jacobi of a scaled symmetric (d, d) matrix on one (2d, d) numpy
+    array, returned as 2d lists of d Python floats: the diagonalized matrix
+    over its eigenvectors' rows. Raises NoConvergence when the
+    MAX_SWEEPS-th sweep still rotates."""
+    d = a0.shape[0]
+    av = np.concatenate([a0, np.eye(d)])
+    a = av[:d]
     for _ in range(MAX_SWEEPS):
         rotated = False
         for p in range(d - 1):
             for q in range(p + 1, d):
-                apq = entry(p, q)
-                # Skip entries at most eps / 2: one ulp of the largest
-                # entry, which _symmetric_scaled puts in [0.5, 1).
-                if abs(apq) <= 2.0**-53:
-                    continue
-                rotated = True
-                # t = sign(tau) / (|tau| + sqrt(tau^2 + 1)) with
-                # tau = diff / (2 apq), multiplied through by 2 apq so that
-                # neither tau nor tau^2 is formed.
-                app, aqq = entry(p, p), entry(q, q)
-                diff = aqq - app
-                if diff == 0.0:
-                    t = 1.0
-                else:
+                # .item reads a Python float without numpy scalar overhead.
+                apq = a.item(p, q)
+                # Rotate only entries above eps / 2, one ulp of the largest
+                # entry, which _symmetric_scaled puts in [0.5, 1); a sweep
+                # that rotates none ends the iteration.
+                if abs(apq) > 2.0**-53:
+                    rotated = True
+                    # t = sign(tau) / (|tau| + sqrt(tau^2 + 1)) with
+                    # tau = diff / (2 apq), multiplied through by 2 apq so
+                    # that neither tau nor tau^2 is formed.
+                    app, aqq = a.item(p, p), a.item(q, q)
+                    diff = aqq - app
                     two_apq = 2.0 * apq
                     denom = abs(diff) + math.hypot(diff, two_apq)
-                    t = math.copysign(1.0, diff) * two_apq / denom
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                yield p, q, c, t * c, app - t * apq, aqq + t * apq
+                    t = math.copysign(1.0, diff) * two_apq / denom if diff != 0.0 else 1.0
+                    c = 1.0 / math.sqrt(t * t + 1.0)
+                    s = t * c
+                    x, y = av[:, p], av[:, q]
+                    x, y = c * x - s * y, s * x + c * y
+                    # The closed-form 2 x 2 block goes into the new columns
+                    # before they are stored, so rows p and q copy it.
+                    x[p], x[q], y[p], y[q] = app - t * apq, 0.0, 0.0, aqq + t * apq
+                    av[:, p], av[:, q] = x, y
+                    a[p], a[q] = x[:d], y[:d]
         if not rotated:
-            return
+            return av.tolist()
     raise NoConvergence(f"the Jacobi iteration still rotates after {MAX_SWEEPS} sweeps")
 
 
-def _array_jacobi(a0: np.ndarray) -> np.ndarray:
-    """The Jacobi of a scaled symmetric (d, d) matrix on one (2d, d) numpy
-    array: the diagonalized matrix over its eigenvectors' columns."""
+def _scalar_jacobi(a0: np.ndarray) -> list[list[float]]:
+    """_array_jacobi's result from lists of Python floats, without numpy's
+    per-call cost, which rules at small d. Each rotation updates every
+    off-diagonal pair (k, p), (k, q) of the matrix once and writes it to
+    both triangles: the float64 operations _array_jacobi does on column
+    entry k, so the same bytes."""
     d = a0.shape[0]
-    av = np.concatenate([a0, np.eye(d)])
-    a = av[:d]
-    # .item reads a Python float without numpy scalar overhead.
-    for p, q, c, s, app, aqq in _rotations(a.item, d):
-        x, y = av[:, p], av[:, q]
-        x, y = c * x - s * y, s * x + c * y
-        # The closed-form 2 x 2 block goes into the new columns before they
-        # are stored, so rows p and q copy it with them.
-        x[p], x[q], y[p], y[q] = app, 0.0, 0.0, aqq
-        av[:, p], av[:, q] = x, y
-        a[p], a[q] = x[:d], y[:d]
-    return av
-
-
-def _scalar_jacobi(a0: np.ndarray) -> np.ndarray:
-    """_array_jacobi's result, from 2d lists of d Python floats: the same
-    float64 operations, without numpy's per-call cost, which rules at
-    small d."""
-    d = a0.shape[0]
-    av = np.concatenate([a0, np.eye(d)]).tolist()
-    a = av[:d]
-    for p, q, c, s, app, aqq in _rotations(lambda i, j: a[i][j], d):
-        for row in av:
-            x = row[p]
-            y = row[q]
-            row[p] = c * x - s * y
-            row[q] = s * x + c * y
-        ap, aq = a[p], a[q]
-        for k in range(d):
-            ap[k] = a[k][p]
-            aq[k] = a[k][q]
-        ap[p] = app
-        aq[q] = aqq
-        ap[q] = aq[p] = 0.0
-    return np.array(av)
+    a, v = a0.tolist(), np.eye(d).tolist()
+    for _ in range(MAX_SWEEPS):
+        rotated = False
+        for p in range(d - 1):
+            ap = a[p]
+            for q in range(p + 1, d):
+                apq = ap[q]
+                # The skip test and the angle are _array_jacobi's.
+                if abs(apq) > 2.0**-53:
+                    rotated = True
+                    aq = a[q]
+                    app, aqq = ap[p], aq[q]
+                    diff = aqq - app
+                    two_apq = 2.0 * apq
+                    denom = abs(diff) + math.hypot(diff, two_apq)
+                    t = math.copysign(1.0, diff) * two_apq / denom if diff != 0.0 else 1.0
+                    c = 1.0 / math.sqrt(t * t + 1.0)
+                    s = t * c
+                    for k in range(d):
+                        if k != p and k != q:
+                            ak = a[k]
+                            x, y = ak[p], ak[q]
+                            ap[k] = ak[p] = c * x - s * y
+                            aq[k] = ak[q] = s * x + c * y
+                    ap[p], aq[q], ap[q], aq[p] = app - t * apq, aqq + t * apq, 0.0, 0.0
+                    for row in v:
+                        x, y = row[p], row[q]
+                        row[p], row[q] = c * x - s * y, s * x + c * y
+        if not rotated:
+            return a + v
+    raise NoConvergence(f"the Jacobi iteration still rotates after {MAX_SWEEPS} sweeps")
 
 
 def _rows_and_norms(summary: ScatterSummary, s) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,9 @@ from orthofit.geometry import (
     ParametricLine,
     PointSet,
     _canonical_signs,
+    _pow2_restored,
     _rejection_sq,
+    _unit,
     canonical_direction,
     center,
     line_distances_sq,
@@ -317,7 +319,62 @@ class TestCanonicalDirection:
                         if component < 0.0:
                             expected[:, j] = -q[:, j]
                         break
-            assert np.array_equal(_canonical_signs(q), expected)
+            # Bytes, so that a -0.0 kept or negated is checked too; each
+            # column also as a lone vector.
+            assert _canonical_signs(q).tobytes() == expected.tobytes()
+            for j in range(dim):
+                assert _canonical_signs(q[:, j].copy()).tobytes() == expected[:, j].tobytes()
+
+    @pytest.mark.parametrize(
+        "v, flipped",
+        [
+            ([SIGN_EPS, -0.5, 0.25], True),
+            ([-SIGN_EPS, 0.5, -0.25], False),
+            ([-SIGN_EPS, SIGN_EPS], False),
+            ([-0.0, 0.0, -0.75], True),
+            ([-0.0, 0.0, 0.75], False),
+            ([0.0, -0.0, -SIGN_EPS], False),
+        ],
+    )
+    def test_signs_at_the_threshold_and_of_negative_zero(self, v, flipped):
+        # A component of magnitude exactly SIGN_EPS does not decide the
+        # sign; a flip negates every entry (-0.0 to 0.0 and back), and a
+        # vector left as is keeps its bytes. As columns, v and -v both map
+        # to that result, unless no component decides, when both are kept.
+        v = np.array(v)
+        expected = -v if flipped else v
+        assert _canonical_signs(v).tobytes() == expected.tobytes()
+        decided = bool(np.any(np.abs(v) > SIGN_EPS))
+        pair = np.stack([v, -v], axis=1)
+        expected_pair = np.stack([expected, expected if decided else -v], axis=1)
+        assert _canonical_signs(pair).tobytes() == expected_pair.tobytes()
+
+
+class TestScalarHelpers:
+    def test_unit_is_the_division_by_numpy_norm(self):
+        # _unit's math.sqrt(w.dot(w)) is np.linalg.norm's computation on a
+        # 1-d float64 array: the same bytes, at every d and magnitude.
+        rng = np.random.default_rng(63)
+        for d in range(1, 301):
+            for k in (-1000, 0, 1000):
+                v = np.ldexp(rng.standard_normal(d), k)
+                _, exp = math.frexp(float(np.abs(v).max()))
+                w = np.ldexp(v, -exp)
+                assert _unit(v).tobytes() == (w / np.linalg.norm(w)).tobytes(), (d, k)
+
+    def test_pow2_restored_matches_np_ldexp(self):
+        # Results that land subnormal round as np.ldexp rounds them; -0.0
+        # and 0.0 keep their signs.
+        values = [1.0, -0.75, 0.5 + 2.0**-52, -0.0, 0.0, 3.0 * 2.0**-30, 0.999]
+        for exp in (-1074, -1060, -1030, -1022, -5, 0, 7, 1023):
+            expected = np.ldexp(np.array(values), exp)
+            assert np.array(_pow2_restored(values, exp)).tobytes() == expected.tobytes()
+        assert 0.0 < _pow2_restored([0.5 + 2.0**-52], -1060)[0] < 2.0**-1022
+
+    @pytest.mark.parametrize("values, exp", [([0.75, -0.5], 1025), ([-1.0], 1024), ([1.0], 5000)])
+    def test_pow2_restored_overflow_is_typed(self, values, exp):
+        with pytest.raises(NonFinite, match="exceed the float64 range"):
+            _pow2_restored(values, exp)
 
 
 class TestTypes:

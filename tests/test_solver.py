@@ -14,11 +14,10 @@ from orthofit.errors import (
     ZeroVector,
 )
 from orthofit.geometry import (
+    SIGN_EPS,
     ParametricLine,
     PointSet,
-    _canonical_signs,
     _symmetric_scaled,
-    canonical_direction,
     center,
     line_distances_sq,
 )
@@ -231,10 +230,23 @@ def per_entry_jacobi(matrix):
                 v[:, q] = s * vp + c * vq
         if not rotated:
             break
+    # The numpy tail, written out here so that it shares no code with the
+    # solver's scalar one: a stable argsort, the argmax-lead sign rule, a
+    # power-of-two scaling before the norm, and np.ldexp's scale-back.
     order = np.argsort(-np.diag(a), kind="stable")
-    vectors = _canonical_signs(v[:, order])
+    vectors = numpy_signs(v[:, order])
     spectrum = np.ldexp(np.diag(a)[order], exp)
-    return spectrum, vectors, canonical_direction(vectors[:, 0])
+    _, top = math.frexp(float(np.abs(vectors[:, 0]).max()))
+    w = np.ldexp(vectors[:, 0], -top)
+    return spectrum, vectors, numpy_signs(w / np.linalg.norm(w))
+
+
+def numpy_signs(vectors):
+    """Each column of a matrix, or a lone vector, negated when its first
+    component above SIGN_EPS in magnitude is negative."""
+    lead = (np.abs(vectors) > SIGN_EPS).argmax(axis=0)
+    first = vectors[lead] if vectors.ndim == 1 else vectors[lead, np.arange(vectors.shape[1])]
+    return np.where(first < -SIGN_EPS, -vectors, vectors)
 
 
 def rotation_cases(dims=range(1, 17), reps=3):
@@ -311,8 +323,12 @@ def test_both_representations_give_the_same_bytes():
             continue
         seen.add(a0.tobytes())
         scalar, array = solver._scalar_jacobi(a0), solver._array_jacobi(a0)
-        assert scalar.shape == array.shape == (2 * len(m), len(m))
-        assert scalar.tobytes() == array.tobytes()
+        # Each a list of 2d rows of d Python floats, compared by their
+        # hex forms, which tell -0.0 from 0.0.
+        assert len(scalar) == len(array) == 2 * len(m)
+        assert [list(map(float.hex, row)) for row in scalar] == [
+            list(map(float.hex, row)) for row in array
+        ]
 
 
 def test_adversarial_matrices_converge():
