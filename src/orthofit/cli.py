@@ -193,7 +193,7 @@ def _fit_document(result) -> dict:
     return {
         "anchor": [float(c) for c in result.line.anchor],
         "direction": [float(c) for c in result.line.direction],
-        "total_sq_distance": float(result.total_sq_distance),
+        "total_sq_distance": result.total_sq_distance,
         "spectrum": [float(v) for v in result.eigen.spectrum],
         "ambiguous": bool(result.eigen.ambiguous),
     }
@@ -303,6 +303,8 @@ def cmd_compare(args) -> int:
     tls = fit_tls_line(points)
     tls_vertical = vertical_residual_sq(points, tls.line, args.dependent_col)
     doc: dict = {"tls": {**_fit_document(tls), "vertical_residual_sq": tls_vertical}}
+    # The document's total, so the per-point squares are summed once.
+    tls_total = doc["tls"]["total_sq_distance"]
     lse_line = lse_sq = None
     ratio = None
     try:
@@ -330,10 +332,10 @@ def cmd_compare(args) -> int:
         # coordinates' own ulp. So each total rounds as at the origin,
         # within c eps xi (Invariance's total bound at offset 0).
         slack = ROUNDING_C * math.ulp(1.0) * tls.moments.total_sq_norm
-        if lse_orth - tls.total_sq_distance < -slack:
+        if lse_orth - tls_total < -slack:
             raise InvariantViolation(
                 f"explicit-fit line scored {lse_orth!r}, below the orthogonal "
-                f"minimum {tls.total_sq_distance!r}"
+                f"minimum {tls_total!r}"
             )
         doc["lse"] = {
             "coefficients": [float(c) for c in lse.coefficients],
@@ -344,8 +346,8 @@ def cmd_compare(args) -> int:
             "direction": [float(c) for c in lse_line.direction],
             "orthogonal_sq_distance": float(lse_orth),
         }
-        if tls.total_sq_distance > 0.0:
-            ratio = lse_orth / tls.total_sq_distance
+        if tls_total > 0.0:
+            ratio = lse_orth / tls_total
     doc["ratio_orthogonal"] = ratio
 
     if args.format == "json":

@@ -46,18 +46,17 @@ class LineFitResult:
     """Outcome of an orthogonal-distance line fit.
 
     Attributes:
-        line: fitted line; anchor is the cloud centroid rounded to float64.
-        total_sq_distance: sum of squared orthogonal distances, numpy's sum
-            of the per-point values (deterministic for a fixed n).
+        line: fitted line; anchor is the cloud centroid rounded to float64,
+            direction the fit's one direction.
         per_point_sq: squared orthogonal distance of each input point,
             measured on the centered cloud, not from the rounded anchor.
-        eigen: the eigensolution behind the fit (spectrum, ambiguity flag).
+        eigen: the eigensolution behind the fit (spectrum, eigenvectors,
+            ambiguity flag).
         moments: the second moments of the centered cloud that the fit
             used; their scatter is the matrix eigen solved.
     """
 
     line: ParametricLine
-    total_sq_distance: float
     per_point_sq: np.ndarray
     eigen: EigenSolution
     moments: ScatterSummary
@@ -69,6 +68,13 @@ class LineFitResult:
     def n_points(self) -> int:
         """Number of points fitted."""
         return self.moments.n_points
+
+    @property
+    def total_sq_distance(self) -> float:
+        """Sum of squared orthogonal distances: numpy's sum of per_point_sq
+        (deterministic for a fixed n), taken on each access, so the two
+        cannot disagree."""
+        return float(self.per_point_sq.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,9 +121,10 @@ def fit_tls_line(points: PointSet) -> LineFitResult:
     collinear data comes out at the rounding floor instead of cancellation
     noise. The fit takes no settings: the eigensolver stops at float64's
     rounding floor, and its sweep budget is the constant solver.MAX_SWEEPS.
-    The line is built from the dominant column of eigen.eigenvectors by the
-    same normalization that gave eigen.direction, so line.direction and
-    eigen.direction are the same bytes.
+    The result stores what the fit measured: the line, built from the
+    dominant column of eigen.eigenvectors, is the fit's one direction, and
+    the total and moments.total_sq_norm are read from per_point_sq and the
+    scatter on each access.
 
     Raises:
         DegenerateInput: if all points coincide.
@@ -129,13 +136,7 @@ def fit_tls_line(points: PointSet) -> LineFitResult:
     eigen = dominant_eigenpair(moments.scatter)
     line = ParametricLine(anchor=centroid_vec, direction=eigen.eigenvectors[:, 0])
     per_point = _rejection_sq(centered.points, line.direction)
-    return LineFitResult(
-        line=line,
-        total_sq_distance=float(per_point.sum()),
-        per_point_sq=per_point,
-        eigen=eigen,
-        moments=moments,
-    )
+    return LineFitResult(line=line, per_point_sq=per_point, eigen=eigen, moments=moments)
 
 
 def total_orthogonal_distance(points: PointSet, line: ParametricLine) -> float:
@@ -303,9 +304,10 @@ def check_fit(points: PointSet, resolution_deg: float) -> tuple[CheckRecord, ...
     the Rayleigh quotient rho minimizes it over scalars.
     objective-consistency compares two values of the minimum objective
     xi - lam1 (the paper's D(s) = xi - s^T Omega s at the dominant
-    eigenvector): the summed distances, read from each point's rejection
-    off the line's direction, and xi less the spectrum's largest value,
-    read from the moments and the solver's eigenvalues. The grid check
+    eigenvector): the summed distances, total_sq_distance, which sums each
+    point's squared rejection off the line's direction (per_point_sq), and
+    xi less the spectrum's largest value, with xi the trace of the fit's
+    scatter (moments.total_sq_norm). The grid check
     runs in dimensions 2 and 3 at resolution_deg, and is a SKIP elsewhere.
 
     Every tolerance is c = geometry.ROUNDING_C times a model of the rounding
@@ -366,6 +368,7 @@ def check_fit(points: PointSet, resolution_deg: float) -> tuple[CheckRecord, ...
     result = fit_tls_line(points)
     moments, eigen = result.moments, result.eigen
     xi, n, d = moments.total_sq_norm, moments.n_points, points.dim
+    total = result.total_sq_distance
     # The decomposition reads one copy of the scatter, scaled by the power
     # of two that brings its largest entry into [0.5, 1) (the solver's
     # rule), so none of its products or norms can overflow or underflow at
@@ -379,7 +382,7 @@ def check_fit(points: PointSet, resolution_deg: float) -> tuple[CheckRecord, ...
     residual, orthogonality = (math.sqrt(np.einsum("ij,ij->", m, m)) for m in (r, g))
     decomposition = math.ldexp(max(residual, orthogonality * abs(lam[0])), exp)
     spectrum = eigen.spectrum.tolist()
-    disagreement = abs(result.total_sq_distance - (xi - max(spectrum)))
+    disagreement = abs(total - (xi - max(spectrum)))
     # Each tolerance is its rounding model (see above) in units of c eps xi,
     # which cannot overflow: every model is far below 1 / eps.
     unit = ROUNDING_C * math.ulp(1.0) * xi
@@ -390,7 +393,7 @@ def check_fit(points: PointSet, resolution_deg: float) -> tuple[CheckRecord, ...
 
     if d <= 3:
         grid = grid_search_direction(points, resolution_deg)
-        gap = grid.best_sq_distance - result.total_sq_distance
+        gap = grid.best_sq_distance - total
         quantization = (spectrum[0] - spectrum[-1]) * math.sin(math.radians(resolution_deg)) ** 2
         report.append(_judged("grid-agreement", gap, quantization + n * unit, lo=-n * unit))
     else:

@@ -69,25 +69,14 @@ def _freeze(obj, *fields: str) -> None:
 
 def _lead_sign(values) -> float:
     """-1.0 if the first of values above SIGN_EPS in magnitude is negative,
-    else 1.0 (also when none is above it): one Python scan, on floats."""
+    else 1.0 (also when none is above it): one Python scan, on floats.
+
+    The one sign rule: canonical_direction and the eigensolver's columns
+    multiply by it, which negates a vector or keeps its bytes."""
     for x in values:
         if abs(x) > SIGN_EPS:
             return -1.0 if x < 0.0 else 1.0
     return 1.0
-
-
-def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip each column of a matrix, or a lone 1-d vector, so that its
-    first component above SIGN_EPS is positive.
-
-    Each column is scanned once, as Python floats, to that component
-    (_lead_sign), and multiplied by -1.0 or 1.0, which negates it or keeps
-    its bytes. A vector with no component above SIGN_EPS in magnitude is
-    left as is.
-    """
-    if vectors.ndim == 1:
-        return vectors * _lead_sign(vectors.tolist())
-    return vectors * [_lead_sign(column) for column in vectors.T.tolist()]
 
 
 def _pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, int, float]:
@@ -186,7 +175,10 @@ def canonical_direction(v) -> np.ndarray:
     """Normalize a direction vector and fix its sign.
 
     The returned vector has unit Euclidean norm and its first component with
-    magnitude above SIGN_EPS is positive. v, -v and 2^k v map to the same
+    magnitude above SIGN_EPS is positive (_lead_sign, applied after the
+    division); a vector with no such component keeps the division's signs.
+    The solver's eigenvector columns are signed by the same rule, so a line
+    built from one points the column's way. v, -v and 2^k v map to the same
     bytes, for every k that keeps v's components normal floats: the power
     of two is removed exactly before the division. Any other multiple of v
     (3v, say) and the output itself, normalized again, agree with it only
@@ -196,7 +188,8 @@ def canonical_direction(v) -> np.ndarray:
     Raises:
         ZeroVector: if v has zero norm.
     """
-    return _canonical_signs(_unit(_as_array(v, "direction")))
+    u = _unit(_as_array(v, "direction"))
+    return u * _lead_sign(u.tolist())
 
 
 @dataclass(frozen=True, eq=False)

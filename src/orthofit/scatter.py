@@ -44,13 +44,13 @@ class ScatterSummary:
     These are the central moments when the cloud came from geometry.center.
 
     Attributes:
-        total_sq_norm: the trace of scatter, which is the sum of |x_p|^2
-            over the cloud.
         scatter: sum of outer products x_p x_p^T, symmetric PSD.
         n_points: number of points accumulated.
+
+    The rest is read from scatter on each access: dim, total_sq_norm (xi,
+    its trace) and complement.
     """
 
-    total_sq_norm: float
     scatter: np.ndarray
     n_points: int
 
@@ -60,6 +60,12 @@ class ScatterSummary:
     @property
     def dim(self) -> int:
         return self.scatter.shape[0]
+
+    @property
+    def total_sq_norm(self) -> float:
+        """xi, the sum of |x_p|^2 over the cloud: the scatter's trace, read
+        from it on each access, so the two cannot disagree."""
+        return float(self.scatter.trace())
 
     @property
     def complement(self) -> np.ndarray:
@@ -97,9 +103,9 @@ def accumulate_scatter(centered: PointSet) -> ScatterSummary:
     """
     pts = centered.points
     with np.errstate(over="ignore", invalid="ignore"):
-        omega = np.einsum("ij,ik->jk", pts, pts)
-        total_sq_norm = float(omega.trace())
-    if not (math.isfinite(total_sq_norm) and np.isfinite(omega).all()):
+        summary = ScatterSummary(scatter=np.einsum("ij,ik->jk", pts, pts), n_points=len(pts))
+        total_sq_norm = summary.total_sq_norm
+    if not (math.isfinite(total_sq_norm) and np.isfinite(summary.scatter).all()):
         raise NonFinite("the second moments overflow float64")
     floor = min_total_sq_norm(*pts.shape)
     if total_sq_norm < floor:
@@ -109,4 +115,4 @@ def accumulate_scatter(centered: PointSet) -> ScatterSummary:
             if pts.any()
             else "all points coincide; every direction fits equally well"
         )
-    return ScatterSummary(total_sq_norm=total_sq_norm, scatter=omega, n_points=pts.shape[0])
+    return summary

@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, ZeroVector
 from .geometry import _as_array, _freeze, _lead_sign, _pow2_restored, _symmetric_scaled
-from .geometry import canonical_direction
 from .scatter import ScatterSummary
 
 # Relative gap (lam1 - lam2) / |lam1| below which the dominant eigenvector
@@ -40,36 +39,33 @@ MAX_SWEEPS = 64
 # Step of the central differences in finite_diff_gradient.
 FD_STEP = 1e-5
 # dominant_eigenpair rotates lists of Python floats up to this dimension
-# and a numpy array above it: their measured crossover. One Jacobi on a
-# random matrix, lists against array, best of 5 on a 2-CPU Xeon: d = 20
-# 6.1 against 7.7 ms, d = 24 10.2 against 11.7 ms, d = 26 12.4 against
-# 12.8 ms, d = 28 16.0 against 14.8 ms, d = 32 24 against 21 ms.
+# and a numpy array above it: the measured speed crossover of the two,
+# whose timings README's solver paragraph gives.
 _SCALAR_MAX_DIM = 26
 
 
 @dataclass(frozen=True, eq=False)
 class EigenSolution:
-    """Full spectrum of a symmetric matrix plus the dominant direction.
+    """Full spectrum and eigenvectors of a symmetric matrix: what the
+    solve measured, nothing derived from it.
 
     Attributes:
-        direction: unit eigenvector for the largest eigenvalue, the
-            first column of eigenvectors passed through
-            geometry.canonical_direction, the normalization ParametricLine
-            applies; a line built from that column has these bytes.
         ambiguous: True when the top two eigenvalues are too close for the
             dominant eigenvector to be well determined.
         spectrum: all eigenvalues, descending.
         eigenvectors: matrix whose columns are unit eigenvectors aligned
-            with spectrum, each sign canonicalized.
+            with spectrum, each signed by geometry._lead_sign, the rule
+            canonical_direction applies. The first column is the dominant
+            direction; canonical_direction of it is the direction a line
+            built from it (LineFitResult.line, say) holds.
     """
 
-    direction: np.ndarray
     ambiguous: bool
     spectrum: np.ndarray
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        _freeze(self, "direction", "spectrum", "eigenvectors")
+        _freeze(self, "spectrum", "eigenvectors")
 
 
 def dominant_eigenpair(matrix) -> EigenSolution:
@@ -104,7 +100,8 @@ def dominant_eigenpair(matrix) -> EigenSolution:
     scalar arithmetic on them: a stable descending sort of the diagonal
     (the order np.argsort(-x, kind="stable") gives), one gather of the
     eigenvectors' columns in that order with each column's sign
-    (geometry._lead_sign) applied, and the ambiguity flag.
+    (geometry._lead_sign) applied, and the ambiguity flag. The first
+    column is the dominant direction.
 
     The input passes one gate, geometry._symmetric_scaled: validated,
     scaled by the power of two that brings its largest entry into [0.5, 1),
@@ -145,7 +142,6 @@ def dominant_eigenpair(matrix) -> EigenSolution:
     # The smallest normal float keeps an all-zero spectrum from dividing by 0.
     top = max(abs(spectrum[0]), 2.0**-1022)
     return EigenSolution(
-        direction=canonical_direction(columns[0]),
         ambiguous=d >= 2 and (spectrum[0] - spectrum[1]) / top < AMBIGUITY_GAP,
         spectrum=_pow2_restored(spectrum, exp),
         eigenvectors=np.array(columns).T,

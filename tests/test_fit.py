@@ -21,6 +21,7 @@ from orthofit.geometry import (
     ROUNDING_C,
     ParametricLine,
     PointSet,
+    canonical_direction,
     center,
     line_distances_sq,
 )
@@ -115,13 +116,14 @@ class TestTlsFit:
             assert abs(result.total_sq_distance - expected_d) <= 1e-9 * xi
 
     def test_eigen_and_line_directions_are_the_same_bytes(self):
-        # The line is built from the solver's dominant column by the
-        # normalization that gave eigen.direction, so a fit has one direction.
+        # The line is built from the solver's dominant column by
+        # canonical_direction, so a fit has one direction.
         for seed in range(1000):
             rng = np.random.default_rng(seed)
             pts, _, _ = line_cloud(rng, int(rng.integers(5, 60)), 2 + seed % 11)
             result = fit_tls_line(PointSet(pts))
-            assert result.eigen.direction.tobytes() == result.line.direction.tobytes()
+            direction = canonical_direction(result.eigen.eigenvectors[:, 0])
+            assert direction.tobytes() == result.line.direction.tobytes()
 
     def test_beats_random_competitors(self):
         rng = np.random.default_rng(8)

@@ -19,7 +19,7 @@ from orthofit.geometry import (
     SIGN_EPS,
     ParametricLine,
     PointSet,
-    _canonical_signs,
+    _lead_sign,
     _pow2_restored,
     _rejection_sq,
     _unit,
@@ -319,11 +319,10 @@ class TestCanonicalDirection:
                         if component < 0.0:
                             expected[:, j] = -q[:, j]
                         break
-            # Bytes, so that a -0.0 kept or negated is checked too; each
-            # column also as a lone vector.
-            assert _canonical_signs(q).tobytes() == expected.tobytes()
+            # Bytes, so that a -0.0 kept or negated is checked too.
             for j in range(dim):
-                assert _canonical_signs(q[:, j].copy()).tobytes() == expected[:, j].tobytes()
+                signed = q[:, j] * _lead_sign(q[:, j].tolist())
+                assert signed.tobytes() == expected[:, j].tobytes()
 
     @pytest.mark.parametrize(
         "v, flipped",
@@ -343,11 +342,12 @@ class TestCanonicalDirection:
         # to that result, unless no component decides, when both are kept.
         v = np.array(v)
         expected = -v if flipped else v
-        assert _canonical_signs(v).tobytes() == expected.tobytes()
+        assert (v * _lead_sign(v.tolist())).tobytes() == expected.tobytes()
         decided = bool(np.any(np.abs(v) > SIGN_EPS))
         pair = np.stack([v, -v], axis=1)
         expected_pair = np.stack([expected, expected if decided else -v], axis=1)
-        assert _canonical_signs(pair).tobytes() == expected_pair.tobytes()
+        signed = np.column_stack([c * _lead_sign(c.tolist()) for c in pair.T])
+        assert signed.tobytes() == expected_pair.tobytes()
 
 
 class TestScalarHelpers:

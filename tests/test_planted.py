@@ -50,8 +50,8 @@ def _clouds(dim):
 
 
 def _taking(sol, v, **changes):
-    """sol with eigenvectors v and v's first column as its direction."""
-    return dataclasses.replace(sol, direction=v[:, 0], eigenvectors=v, **changes)
+    """sol with eigenvectors v, whose first column the line is built from."""
+    return dataclasses.replace(sol, eigenvectors=v, **changes)
 
 
 def _turned(v, theta):
@@ -84,7 +84,9 @@ SOLVER_DEFECTS = {
     "rotated-1e-4": lambda sol, a: _taking(sol, _turned(sol.eigenvectors, 1e-4)),
     "rotated-1e-7": lambda sol, a: _taking(sol, _turned(sol.eigenvectors, 1e-7)),
     "rotated-1e-11": lambda sol, a: _taking(sol, _turned(sol.eigenvectors, 1e-11)),
-    # The line's column is turned after the solve; eigen.direction is not.
+    # The dominant column turned after the solve, the spectrum as solved.
+    # The line is built from that column, so this is rotated-*'s planting;
+    # line-rotated-1e-7 and rotated-1e-7 are the same defect.
     "line-rotated-1e-5": lambda sol, a: dataclasses.replace(
         sol, eigenvectors=_turned(sol.eigenvectors, 1e-5)
     ),
@@ -164,9 +166,6 @@ DEFECTS = {
     **{name: (lambda mp, d=d: _plant_solver(mp, d)) for name, d in SOLVER_DEFECTS.items()},
     "scatter-scaled-1e-6": lambda mp: _plant_moments(
         mp, lambda m: dataclasses.replace(m, scatter=m.scatter * (1.0 + 1e-6))
-    ),
-    "energy-scaled-1e-6": lambda mp: _plant_moments(
-        mp, lambda m: dataclasses.replace(m, total_sq_norm=m.total_sq_norm * (1.0 + 1e-6))
     ),
     "centroid-shift-1e-1": _plant_centroid_shift,
     "line-turned-1e-7": _plant_line_turn,

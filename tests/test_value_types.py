@@ -3,7 +3,8 @@
 Constructing one never touches the arrays the caller passed in: they stay
 writable, unchanged and unshared with the value. Equality and hashing are
 by identity: a generated field-wise __eq__ would compare arrays, whose truth
-value is undefined, and its __hash__ would hash them.
+value is undefined, and its __hash__ would hash them. A value derived from
+a stored field is read from it, so it can never disagree with its source.
 """
 
 import copy
@@ -25,7 +26,6 @@ from orthofit import (
 
 def _eigen_fields():
     return {
-        "direction": np.array([1.0, 0.0]),
         "ambiguous": False,
         "spectrum": np.array([1.0, 0.5]),
         "eigenvectors": np.eye(2),
@@ -33,7 +33,7 @@ def _eigen_fields():
 
 
 def _moments_fields():
-    return {"total_sq_norm": 1.5, "scatter": np.diag([1.0, 0.5]), "n_points": 3}
+    return {"scatter": np.diag([1.0, 0.5]), "n_points": 3}
 
 
 def _line():
@@ -52,7 +52,6 @@ CASES = {
         LineFitResult,
         lambda: {
             "line": _line(),
-            "total_sq_distance": 0.5,
             "per_point_sq": np.array([0.25, 0.0, 0.25]),
             "eigen": EigenSolution(**_eigen_fields()),
             "moments": ScatterSummary(**_moments_fields()),
@@ -112,3 +111,37 @@ def test_equality_and_hash_are_by_identity(name):
     assert value != copy.copy(value)
     assert hash(value) == hash(value)
     assert value in {value}
+
+
+# (type, fields, derived value, measured field, its source rule, a new value
+# of that field): each derived value is its source's bytes, also after
+# dataclasses.replace of the measured field.
+DERIVED = {
+    "ScatterSummary.total_sq_norm": (
+        ScatterSummary,
+        _moments_fields,
+        "total_sq_norm",
+        "scatter",
+        lambda scatter: float(scatter.trace()),
+        np.diag([0.1, 0.2]),
+    ),
+    "LineFitResult.total_sq_distance": (
+        LineFitResult,
+        CASES["LineFitResult"][1],
+        "total_sq_distance",
+        "per_point_sq",
+        lambda per_point_sq: float(per_point_sq.sum()),
+        np.array([0.1, 0.2, 0.3, 0.4]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED))
+def test_derived_values_follow_their_source(name):
+    cls, make_fields, derived, field, rule, replacement = DERIVED[name]
+    value = cls(**make_fields())
+    assert derived not in {f.name for f in dataclasses.fields(value)}
+    replaced = dataclasses.replace(value, **{field: replacement})
+    for v, source in ((value, make_fields()[field]), (replaced, replacement)):
+        assert type(getattr(v, derived)) is float
+        assert repr(getattr(v, derived)) == repr(rule(source))

@@ -6,11 +6,14 @@ Hashes, in a fixed order:
   noise 1e-6 to 1 and offsets 1e-2 to 1e6 from the origin: every array of
   the result (its bytes, shape and C-contiguity) and every scalar (its
   repr): line.direction and line.anchor, total_sq_distance, per_point_sq,
-  eigen.direction, eigen.ambiguous, eigen.spectrum, eigen.eigenvectors,
-  moments.scatter, moments.total_sq_norm and n_points;
+  canonical_direction of eigen.eigenvectors' first column, eigen.ambiguous,
+  eigen.spectrum, eigen.eigenvectors, moments.scatter, moments.total_sq_norm
+  and n_points; then check_fit's records on the same cloud at 2 degrees,
+  each record's name, status, measured, tol and reason, so the numbers
+  `check` prints to 6 digits are pinned to the last bit;
 * dominant_eigenpair on 300 symmetric matrices, with d from 1 to 40, each
-  scaled by a power of two from 2^-600 to 2^600: direction, ambiguous,
-  spectrum and eigenvectors.
+  scaled by a power of two from 2^-600 to 2^600: canonical_direction of
+  the first eigenvector, ambiguous, spectrum and eigenvectors.
 
 A call that raises hashes its error's type and message instead. Case i is
 drawn from its own seed, so a smaller count hashes a prefix of the same
@@ -31,7 +34,8 @@ import sys
 
 import numpy as np
 
-from orthofit import PointSet, dominant_eigenpair, fit_tls_line
+from orthofit import PointSet, canonical_direction, dominant_eigenpair, fit_tls_line
+from orthofit.fit import check_fit
 
 
 def _cloud(i: int) -> np.ndarray:
@@ -76,10 +80,13 @@ def digest(fits: int = 1200, matrices: int = 300) -> str:
 
 
 def _fit(h, x: np.ndarray) -> None:
-    r = fit_tls_line(PointSet(x))
+    points = PointSet(x)
+    r = fit_tls_line(points)
     _update(h, r.line.direction, r.line.anchor, r.total_sq_distance, r.per_point_sq)
     _update(h, r.moments.scatter, r.moments.total_sq_norm, r.n_points)
     _eigen_result(h, r.eigen)
+    for record in check_fit(points, 2.0):
+        _update(h, record.name, record.status, record.measured, record.tol, record.reason)
 
 
 def _eigen(h, m: np.ndarray) -> None:
@@ -87,7 +94,8 @@ def _eigen(h, m: np.ndarray) -> None:
 
 
 def _eigen_result(h, sol) -> None:
-    _update(h, sol.direction, sol.ambiguous, sol.spectrum, sol.eigenvectors)
+    direction = canonical_direction(sol.eigenvectors[:, 0])
+    _update(h, direction, sol.ambiguous, sol.spectrum, sol.eigenvectors)
 
 
 if __name__ == "__main__":
