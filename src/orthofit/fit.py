@@ -119,8 +119,9 @@ def fit_tls_line(points: PointSet) -> LineFitResult:
     the origin. The reported total is the sum of these per-point squares
     rather than the algebraically equal difference of large aggregates, so
     collinear data comes out at the rounding floor instead of cancellation
-    noise. The fit takes no settings: the eigensolver stops at float64's
-    rounding floor, and its sweep budget is the constant solver.MAX_SWEEPS.
+    noise. The fit takes no settings: up to d = 26 the eigensolver's Jacobi
+    stops at float64's rounding floor within the constant sweep budget
+    solver.MAX_SWEEPS, and above it LAPACK's eigh runs.
     The result stores what the fit measured: the line, built from the
     dominant column of eigen.eigenvectors, is the fit's one direction, and
     the total and moments.total_sq_norm are read from per_point_sq and the
@@ -128,8 +129,9 @@ def fit_tls_line(points: PointSet) -> LineFitResult:
 
     Raises:
         DegenerateInput: if all points coincide.
-        NoConvergence: if the eigensolver does not converge within
-            solver.MAX_SWEEPS sweeps (propagated).
+        NoConvergence: if the eigensolver does not converge: the Jacobi
+            within solver.MAX_SWEEPS sweeps (d <= 26) or LAPACK's eigh
+            (above); propagated.
     """
     centered, centroid_vec = center(points)
     moments = accumulate_scatter(centered)
@@ -325,12 +327,15 @@ def check_fit(points: PointSet, resolution_deg: float) -> tuple[CheckRecord, ...
       about d sqrt(d) eps in Frobenius norm. |V^T V - I|_F is at most
       twice that, and |Omega V - V Lambda|_F at most |E| plus 2 xi times
       it, with |lam1| <= xi. That order, not LAPACK's d eps, is what the
-      Jacobi meets: on 1000-point line clouds with sigma 1e-3 the record
-      reads about 0.06 of this tol at every d from 20 to 300, where a d eps
-      tol fails from d = 300. The record's own d-term products round by
-      about sqrt(d) eps xi and d eps xi (the probabilistic model of Higham
-      and Mary, SIAM J. Sci. Comput. 41, 2019), well inside. The model
-      reads nothing of how the solver stops, so it holds for eigh too.
+      Jacobi meets: run at every d on 1000-point line clouds with sigma
+      1e-3, it read about 0.06 of this tol from d = 20 to 300, where a
+      d eps tol fails from d = 300. It now solves d <= 26 only; eigh,
+      which runs above, reads at most 0.013 of this tol on the same probes
+      (d 30 to 300), and the tol stays while the Jacobi solves any d.
+      The record's own d-term products round by about sqrt(d) eps xi and
+      d eps xi (the probabilistic model of Higham and Mary, SIAM J. Sci.
+      Comput. 41, 2019), well inside. The model reads nothing of how the
+      solver stops, so it holds for eigh too.
     * objective-consistency, c (n + d) eps xi: gamma_n of the n-term sums
       and gamma_d of the d-term ones (Higham 2002, ch. 3), route by route.
       The summed distances are, in exact arithmetic on the centered cloud,

@@ -2,22 +2,22 @@
 
 The fitted direction is the eigenvector of the scatter matrix with the
 largest eigenvalue (equivalently, the smallest eigenvalue of the complement
-matrix; the two share eigenvectors). We use a cyclic-by-rows Jacobi
-iteration: it is deterministic, needs no external solver, and for the small
-dense matrices produced here converges in a handful of sweeps. It stops at
-float64's own rounding floor, with no tolerance to tune: a rotation is
-skipped when its entry is at most one ulp of the matrix's largest entry
-(Rutishauser, 1966), and the iteration ends after a sweep that skips every
-pair. Two kernels run the sweep, each inline: lists of Python floats up
-to d = _SCALAR_MAX_DIM and one numpy array above it, with the same bytes
-either way. The d-sized work after it (the spectrum's order, the
-eigenvectors' signs, the ambiguity flag, the scale-back) runs on Python
-floats too.
+matrix; the two share eigenvectors). Up to d = _SCALAR_MAX_DIM we use a
+cyclic-by-rows Jacobi iteration on lists of Python floats: it is
+deterministic, calls no BLAS, and for the small dense matrices produced
+here converges in a handful of sweeps. It stops at float64's own rounding
+floor, with no tolerance to tune: a rotation is skipped when its entry is
+at most one ulp of the matrix's largest entry (Rutishauser, 1966), and the
+iteration ends after a sweep that skips every pair. Above that dimension
+LAPACK's symmetric eigensolver (np.linalg.eigh) runs, tens to hundreds of
+times faster there. The d-sized work after either (the spectrum's order,
+the eigenvectors' signs, the ambiguity flag, the scale-back) runs on
+Python floats.
 
 Nothing here is configurable. The module constant MAX_SWEEPS fixes the
-iteration's sweep budget, FD_STEP the finite-difference step, and
-AMBIGUITY_GAP the ambiguity flag; _SCALAR_MAX_DIM, the measured speed
-crossover of the two representations, moves no byte.
+Jacobi's sweep budget, FD_STEP the finite-difference step, and
+AMBIGUITY_GAP the ambiguity flag; _SCALAR_MAX_DIM bounds the Jacobi's
+domain.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ AMBIGUITY_GAP = 1e-8
 MAX_SWEEPS = 64
 # Step of the central differences in finite_diff_gradient.
 FD_STEP = 1e-5
-# dominant_eigenpair rotates lists of Python floats up to this dimension
-# and a numpy array above it: the measured speed crossover of the two,
-# whose timings README's solver paragraph gives.
+# The Jacobi's domain: dominant_eigenpair runs it up to this dimension and
+# np.linalg.eigh above it. Every result at d <= 26 keeps the bytes it had
+# when the Jacobi ran at every d; ROADMAP item 4 swaps in eigh throughout.
 _SCALAR_MAX_DIM = 26
 
 
@@ -69,50 +69,40 @@ class EigenSolution:
 
 
 def dominant_eigenpair(matrix) -> EigenSolution:
-    """Full eigendecomposition of a symmetric matrix via cyclic Jacobi.
+    """Full eigendecomposition of a symmetric matrix, dominant pair first.
 
-    Sweeps the strict upper triangle row by row, rotating away each
-    off-diagonal entry; eigenvalues come back sorted descending with the
-    dominant eigenvector first. The rotation angle is computed from the
-    smaller root of the annihilation quadratic, which keeps every rotation
-    below 45 degrees and the iteration unconditionally stable. The
-    iteration has no settings. A pair is skipped when |a_pq| <= eps / 2,
-    one ulp of the scaled matrix's largest entry, and the iteration
-    ends after a sweep that skips every pair; it gives up when the
-    MAX_SWEEPS-th sweep still rotates.
+    Up to d = _SCALAR_MAX_DIM, _scalar_jacobi runs a cyclic Jacobi
+    iteration on lists of Python floats. It sweeps the strict upper
+    triangle row by row, rotating away each off-diagonal entry. The
+    rotation angle is computed from the smaller root of the annihilation
+    quadratic, which keeps every rotation below 45 degrees and the
+    iteration unconditionally stable. The iteration has no settings. A
+    pair is skipped when |a_pq| <= eps / 2, one ulp of the scaled matrix's
+    largest entry, and the iteration ends after a sweep that skips every
+    pair; it gives up when the MAX_SWEEPS-th sweep still rotates. Each
+    rotation updates every off-diagonal pair (k, p), (k, q) of the matrix
+    once, writing it to both triangles, and the two diagonal entries and
+    the annihilated pair take the closed-form update. Above
+    _SCALAR_MAX_DIM, np.linalg.eigh (LAPACK's symmetric solver) runs
+    instead.
 
-    The matrix and its eigenvectors are one (2d, d) block, the matrix on
-    top and the accumulated rotations below. A rotation turns columns p
-    and q of both: each entry x of column p and y of column q becomes
-    c x - s y and s x + c y, and the two diagonal entries and the
-    annihilated pair take the closed-form update. The block is held in one
-    of two representations, whichever rotates faster at the matrix's size
-    (_SCALAR_MAX_DIM, the crossover measured between the two). Up to it,
-    _scalar_jacobi keeps lists of rows of Python floats and updates each
-    off-diagonal pair (k, p), (k, q) of the matrix once, writing it to both
-    triangles. Above it, _array_jacobi keeps a numpy array and turns whole
-    columns with two elementwise updates, then copies them into rows p and
-    q. Each kernel runs its own sweep, and both do, entry for entry, the
-    same float64 operations in the same order, so they give the same
-    bytes.
-
-    Both return the block as lists of Python floats, and the rest is
-    scalar arithmetic on them: a stable descending sort of the diagonal
-    (the order np.argsort(-x, kind="stable") gives), one gather of the
-    eigenvectors' columns in that order with each column's sign
-    (geometry._lead_sign) applied, and the ambiguity flag. The first
-    column is the dominant direction.
+    Both give a diagonal and the eigenvectors' rows as lists of Python
+    floats, and the rest is scalar arithmetic on them: a stable descending
+    sort of the diagonal (the order np.argsort(-x, kind="stable") gives),
+    one gather of the eigenvectors' columns in that order with each
+    column's sign (geometry._lead_sign) applied, and the ambiguity flag.
+    The first column is the dominant direction.
 
     The input passes one gate, geometry._symmetric_scaled: validated,
     scaled by the power of two that brings its largest entry into [0.5, 1),
     checked for symmetry and symmetrized, in that order. Everything runs on
-    that copy: the rotations and the skip test. The scaling is exact, so at
-    ordinary magnitudes the bits are those of the unscaled iteration, and
-    the skip test's eps / 2 is relative to the input's largest entry at any
-    magnitude. The spectrum is scaled back by the same power of two
-    (geometry._pow2_restored); the eigenvectors need no scaling back. No
-    value is formed from a matrix product: the dominant eigenvalue is
-    spectrum[0], the diagonal entry the rotations leave.
+    that copy: the rotations and the skip test, or eigh. The scaling is
+    exact, so at ordinary magnitudes the bits are those of the unscaled
+    iteration, and the skip test's eps / 2 is relative to the input's
+    largest entry at any magnitude. The spectrum is scaled back by the
+    same power of two (geometry._pow2_restored); the eigenvectors need no
+    scaling back. No value is formed from a matrix product: the dominant
+    eigenvalue is spectrum[0], the diagonal entry the solver leaves.
 
     Args:
         matrix: square symmetric array (checked to geometry.SYMMETRY_RTOL
@@ -126,17 +116,26 @@ def dominant_eigenpair(matrix) -> EigenSolution:
             entries near the float64 maximum can have eigenvalues beyond
             it).
         NotSymmetric: if the input is not square or not symmetric.
-        NoConvergence: if the MAX_SWEEPS-th sweep still rotates a pair.
+        NoConvergence: up to d = _SCALAR_MAX_DIM, if the Jacobi's
+            MAX_SWEEPS-th sweep still rotates a pair; above it, if LAPACK's
+            eigh does not converge (np.linalg.LinAlgError).
     """
     a0, exp = _symmetric_scaled(matrix)
     d = a0.shape[0]
-    av = (_scalar_jacobi if d <= _SCALAR_MAX_DIM else _array_jacobi)(a0)
+    if d <= _SCALAR_MAX_DIM:
+        diagonal, rows = _scalar_jacobi(a0)
+    else:
+        try:
+            w, v = np.linalg.eigh(a0)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"np.linalg.eigh: {exc}") from exc
+        diagonal, rows = w.tolist(), v.tolist()
 
     # Descending, equal entries in index order: argsort(-x, kind="stable").
-    order = sorted(range(d), key=[av[i][i] for i in range(d)].__getitem__, reverse=True)
-    spectrum = [av[i][i] for i in order]
+    order = sorted(range(d), key=diagonal.__getitem__, reverse=True)
+    spectrum = [diagonal[i] for i in order]
     # The eigenvectors' columns in that order, each times its sign.
-    columns = [[row[j] for row in av[d:]] for j in order]
+    columns = [[row[j] for row in rows] for j in order]
     columns = [[x * sign for x in col] for col, sign in zip(columns, map(_lead_sign, columns))]
 
     # The smallest normal float keeps an all-zero spectrum from dividing by 0.
@@ -148,53 +147,11 @@ def dominant_eigenpair(matrix) -> EigenSolution:
     )
 
 
-def _array_jacobi(a0: np.ndarray) -> list[list[float]]:
-    """The Jacobi of a scaled symmetric (d, d) matrix on one (2d, d) numpy
-    array, returned as 2d lists of d Python floats: the diagonalized matrix
-    over its eigenvectors' rows. Raises NoConvergence when the
-    MAX_SWEEPS-th sweep still rotates."""
-    d = a0.shape[0]
-    av = np.concatenate([a0, np.eye(d)])
-    a = av[:d]
-    for _ in range(MAX_SWEEPS):
-        rotated = False
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                # .item reads a Python float without numpy scalar overhead.
-                apq = a.item(p, q)
-                # Rotate only entries above eps / 2, one ulp of the largest
-                # entry, which _symmetric_scaled puts in [0.5, 1); a sweep
-                # that rotates none ends the iteration.
-                if abs(apq) > 2.0**-53:
-                    rotated = True
-                    # t = sign(tau) / (|tau| + sqrt(tau^2 + 1)) with
-                    # tau = diff / (2 apq), multiplied through by 2 apq so
-                    # that neither tau nor tau^2 is formed.
-                    app, aqq = a.item(p, p), a.item(q, q)
-                    diff = aqq - app
-                    two_apq = 2.0 * apq
-                    denom = abs(diff) + math.hypot(diff, two_apq)
-                    t = math.copysign(1.0, diff) * two_apq / denom if diff != 0.0 else 1.0
-                    c = 1.0 / math.sqrt(t * t + 1.0)
-                    s = t * c
-                    x, y = av[:, p], av[:, q]
-                    x, y = c * x - s * y, s * x + c * y
-                    # The closed-form 2 x 2 block goes into the new columns
-                    # before they are stored, so rows p and q copy it.
-                    x[p], x[q], y[p], y[q] = app - t * apq, 0.0, 0.0, aqq + t * apq
-                    av[:, p], av[:, q] = x, y
-                    a[p], a[q] = x[:d], y[:d]
-        if not rotated:
-            return av.tolist()
-    raise NoConvergence(f"the Jacobi iteration still rotates after {MAX_SWEEPS} sweeps")
-
-
-def _scalar_jacobi(a0: np.ndarray) -> list[list[float]]:
-    """_array_jacobi's result from lists of Python floats, without numpy's
-    per-call cost, which rules at small d. Each rotation updates every
-    off-diagonal pair (k, p), (k, q) of the matrix once and writes it to
-    both triangles: the float64 operations _array_jacobi does on column
-    entry k, so the same bytes."""
+def _scalar_jacobi(a0: np.ndarray) -> tuple[list[float], list[list[float]]]:
+    """The cyclic Jacobi of a scaled symmetric (d, d) matrix on lists of
+    Python floats: the diagonalized matrix's diagonal and its eigenvectors'
+    d rows. Raises NoConvergence when the MAX_SWEEPS-th sweep still
+    rotates."""
     d = a0.shape[0]
     a, v = a0.tolist(), np.eye(d).tolist()
     for _ in range(MAX_SWEEPS):
@@ -203,11 +160,16 @@ def _scalar_jacobi(a0: np.ndarray) -> list[list[float]]:
             ap = a[p]
             for q in range(p + 1, d):
                 apq = ap[q]
-                # The skip test and the angle are _array_jacobi's.
+                # Rotate only entries above eps / 2, one ulp of the largest
+                # entry, which _symmetric_scaled puts in [0.5, 1); a sweep
+                # that rotates none ends the iteration.
                 if abs(apq) > 2.0**-53:
                     rotated = True
                     aq = a[q]
                     app, aqq = ap[p], aq[q]
+                    # t = sign(tau) / (|tau| + sqrt(tau^2 + 1)) with
+                    # tau = diff / (2 apq), multiplied through by 2 apq so
+                    # that neither tau nor tau^2 is formed.
                     diff = aqq - app
                     two_apq = 2.0 * apq
                     denom = abs(diff) + math.hypot(diff, two_apq)
@@ -225,7 +187,7 @@ def _scalar_jacobi(a0: np.ndarray) -> list[list[float]]:
                         x, y = row[p], row[q]
                         row[p], row[q] = c * x - s * y, s * x + c * y
         if not rotated:
-            return a + v
+            return [a[i][i] for i in range(d)], v
     raise NoConvergence(f"the Jacobi iteration still rotates after {MAX_SWEEPS} sweeps")
 
 

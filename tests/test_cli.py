@@ -621,7 +621,8 @@ class TestBlasThreads:
         # Every sum over points is a numpy reduction or an einsum, so no
         # output may depend on how many threads the BLAS has. The wide
         # files are where a BLAS matrix product for the scatter would split
-        # its sums over threads; d = 200 is the slow one (~3 s per fit).
+        # its sums over threads; d = 100 and 200 run LAPACK's eigh, whose
+        # bytes README's Determinism section promises up to d = 200.
         cloud = tmp_path / "big.csv"
         assert cli.main(
             ["gen", "--output", str(cloud), "--n", "20000", "--dim", "3", "--seed", "5"]
@@ -633,7 +634,7 @@ class TestBlasThreads:
             assert cli.main([*argv, "--sigma", "0.3"]) == 0
             wide.append(path)
         outputs = []
-        for threads in ("1", "2"):
+        for threads in ("1", "2", "4"):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
             fit = run_cli("fit", "--input", str(cloud), "--format", "csv", env=env)
             cmp = run_cli("compare", "--input", str(cloud), "--format", "json", env=env)
@@ -642,7 +643,7 @@ class TestBlasThreads:
             procs = [fit, cmp, chk, *fits]
             assert all(proc.returncode == 0 for proc in procs)
             outputs.append([proc.stdout for proc in procs])
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestCheckCommand:

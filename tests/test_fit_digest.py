@@ -10,9 +10,9 @@ _spec.loader.exec_module(fit_digest)
 
 
 def test_two_runs_print_the_same_digest(monkeypatch):
-    # A few cases of each kind, matrices on both sides of the solver's
-    # crossover among them; the digest must repeat exactly and move with
-    # the case count.
+    # A few cases of each kind, matrices solved by the Jacobi and by eigh
+    # among them; the digest must repeat exactly and move with the case
+    # count.
     first = fit_digest.digest(fits=12, matrices=8)
     assert len(first) == 64
     assert first == fit_digest.digest(fits=12, matrices=8)

@@ -82,17 +82,9 @@ SOLVER_DEFECTS = {
         sol, sol.eigenvectors[:, ::-1], spectrum=sol.spectrum[::-1]
     ),
     "rotated-1e-4": lambda sol, a: _taking(sol, _turned(sol.eigenvectors, 1e-4)),
+    "rotated-1e-5": lambda sol, a: _taking(sol, _turned(sol.eigenvectors, 1e-5)),
     "rotated-1e-7": lambda sol, a: _taking(sol, _turned(sol.eigenvectors, 1e-7)),
     "rotated-1e-11": lambda sol, a: _taking(sol, _turned(sol.eigenvectors, 1e-11)),
-    # The dominant column turned after the solve, the spectrum as solved.
-    # The line is built from that column, so this is rotated-*'s planting;
-    # line-rotated-1e-7 and rotated-1e-7 are the same defect.
-    "line-rotated-1e-5": lambda sol, a: dataclasses.replace(
-        sol, eigenvectors=_turned(sol.eigenvectors, 1e-5)
-    ),
-    "line-rotated-1e-7": lambda sol, a: dataclasses.replace(
-        sol, eigenvectors=_turned(sol.eigenvectors, 1e-7)
-    ),
     "eigenvectors-transposed": lambda sol, a: dataclasses.replace(
         sol, eigenvectors=sol.eigenvectors.T
     ),

@@ -13,7 +13,9 @@ Hashes, in a fixed order:
   `check` prints to 6 digits are pinned to the last bit;
 * dominant_eigenpair on 300 symmetric matrices, with d from 1 to 40, each
   scaled by a power of two from 2^-600 to 2^600: canonical_direction of
-  the first eigenvector, ambiguous, spectrum and eigenvectors.
+  the first eigenvector, ambiguous, spectrum and eigenvectors. The Jacobi
+  solves those of d up to solver._SCALAR_MAX_DIM, LAPACK's eigh those of
+  d 27 to 40.
 
 A call that raises hashes its error's type and message instead. Case i is
 drawn from its own seed, so a smaller count hashes a prefix of the same
